@@ -54,6 +54,7 @@ from .errors import (
 from .expressions import parse_expression
 from .graph import (
     OMEGA,
+    Condensation,
     Cycle,
     Edge,
     Graph,
@@ -63,6 +64,7 @@ from .graph import (
     canonical_cycle,
     classify_vertex,
     concat,
+    condensation,
     condition_K,
     condition_L,
     cycle_base,
@@ -103,6 +105,7 @@ from .structure import (
     Filtration,
     FpVerdict,
     GkVerdict,
+    GraphAnalysis,
     LaurentMatrixLayer,
     MixedLayer,
     SocleLayer,

@@ -541,6 +541,8 @@ def growth_profile(g, n_max: int, max_basis: int = MAX_BASIS_DEFAULT) -> list[in
     monomials with |p| + |q| <= n; it is counted here without materializing
     the pairs.
     """
+    if n_max < 0:
+        raise NotSupportedError(f"the growth bound must be at least 0, not {n_max}")
     ctx = _as_context(g)
     by_range = _paths_by_length(ctx, n_max, max_basis)
     g_ = ctx.graph

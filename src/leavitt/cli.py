@@ -9,6 +9,7 @@ exceeded.  Errors are reported as a JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,8 +37,6 @@ from .graph import (
     Graph,
     Path,
     classify_vertex,
-    condition_K,
-    condition_L,
     graph_from_json,
     graph_to_obj,
     line_points,
@@ -49,8 +48,8 @@ from .modules import (
     sv_act,
 )
 from .structure import (
+    GraphAnalysis,
     corner_report,
-    cycle_poset,
     decide_fp,
     decide_gk,
     fp_filtration,
@@ -88,12 +87,13 @@ def _vertex_list(text: str) -> list[str]:
 
 
 def _report(g: Graph, args) -> dict:
-    cp = cycle_poset(g, args.max_cycles)
+    analysis = GraphAnalysis(g)
+    cp = analysis.cycle_poset(args.max_cycles)
     classes = {}
     for v in g.vertices:
         c = classify_vertex(g, v)
         classes[v] = {"class": c.kind, "outDegree": c.out_degree}
-    lp = sorted(line_points(g))
+    lp = sorted(analysis.line_points)
     socle = sorted(saturated_closure(g, lp).vertices)
     return {
         "version": __version__,
@@ -101,8 +101,8 @@ def _report(g: Graph, args) -> dict:
             "vertices": len(g.vertices),
             "edgeBundles": len(g.edges),
             "rowFinite": g.is_row_finite(),
-            "conditionL": condition_L(g, args.max_cycles),
-            "conditionK": condition_K(g, args.max_cycles),
+            "conditionL": analysis.condition_L,
+            "conditionK": analysis.condition_K,
         },
         "vertexClasses": classes,
         "linePoints": lp,
@@ -114,9 +114,9 @@ def _report(g: Graph, args) -> dict:
             "minimalCycles": [list(c.edges) for c in cp.minimal_cycles],
             "noExitCycles": [list(c.edges) for c in cp.no_exit_cycles],
         },
-        "fp": decide_fp(g, args.max_cycles, args.max_vertices_hs).to_obj(),
-        "gk": decide_gk(g, args.max_cycles).to_obj(),
-        "corners": {v: corner_report(g, v, args.max_cycles).to_obj() for v in g.vertices},
+        "fp": analysis.fp_verdict().to_obj(),
+        "gk": analysis.gk_verdict().to_obj(),
+        "corners": {v: analysis.corner_report(v).to_obj() for v in g.vertices},
     }
 
 
@@ -128,9 +128,9 @@ def _cmd(args) -> None:
     elif cmd == "report":
         _emit(_report(g, args))
     elif cmd == "fp":
-        _emit(decide_fp(g, args.max_cycles, args.max_vertices_hs).to_obj())
+        _emit(decide_fp(g).to_obj())
     elif cmd == "gk":
-        _emit(decide_gk(g, args.max_cycles).to_obj())
+        _emit(decide_gk(g).to_obj())
     elif cmd == "socle":
         lp = sorted(line_points(g))
         _emit({"linePoints": lp, "socleVertices": sorted(saturated_closure(g, lp).vertices)})
@@ -157,12 +157,12 @@ def _cmd(args) -> None:
     elif cmd == "ef":
         _emit(graph_to_obj(subalgebra_graph(g, _vertex_list(args.edges))))
     elif cmd == "corner":
-        _emit(corner_report(g, args.vertex, args.max_cycles).to_obj())
+        _emit(corner_report(g, args.vertex).to_obj())
     elif cmd == "filtration":
         if args.kind == "fp":
-            filt = fp_filtration(g, args.max_cycles, args.max_vertices_hs)
+            filt = fp_filtration(g)
         else:
-            filt = gk_filtration(g, args.max_cycles)
+            filt = gk_filtration(g)
         _emit(filt.to_obj())
     elif cmd == "eval":
         ctx = AlgebraContext(g, _field(args.field))
@@ -270,8 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs more than many requests; parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "act":
         if args.module == "chen" and not args.stream:
             _fail("the chen module needs --stream", 2)

@@ -58,25 +58,54 @@ def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
     return g.reachable(seed)
 
 
+class SaturatedClosure:
+    """A hereditary saturated vertex set that grows in place.
+
+    ``add`` is a worklist: every vertex that joins the set lowers, for each
+    regular vertex with an edge into it, the count of that vertex's edge
+    bundles still ending outside the set, and a regular vertex joins when
+    its count reaches 0.  Growing the set from empty to everything costs
+    O(V + E) in all.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.vertices: set[str] = set()
+        self._outside = {v: len(g.out_bundles(v)) for v in g.vertices if is_regular(g, v)}
+
+    def add(self, seed: Iterable[str]) -> list[str]:
+        """Grow the set to the closure of itself and ``seed``; returns the
+        vertices that joined."""
+        g, closed, outside = self.graph, self.vertices, self._outside
+        added = []
+        todo = list(seed)
+        while todo:
+            v = todo.pop()
+            if v in closed:
+                continue
+            closed.add(v)
+            added.append(v)
+            todo.extend(g.successors(v))
+            for e in g.in_bundles(v):
+                u = e.src
+                if u in outside:
+                    outside[u] -= 1
+                    if outside[u] == 0:
+                        todo.append(u)
+        return added
+
+
 def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:
     """Smallest hereditary saturated superset of ``seed``.
 
     Saturation repeatedly adds any regular vertex all of whose edge ranges
-    already lie in the set; this preserves hereditariness, so one hereditary
-    pass followed by a saturation fixpoint reaches the closure.
+    already lie in the set; it preserves hereditariness, so the closure is
+    the least set closed under both rules.
     """
     seed_set = frozenset(g.require_vertex(v) for v in seed)
-    closed = set(hereditary_closure(g, seed_set))
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in closed or not is_regular(g, v):
-                continue
-            if all(e.dst in closed for e in g.out_bundles(v)):
-                closed.add(v)
-                changed = True
-    return HSSet(frozenset(closed), seed_set)
+    closure = SaturatedClosure(g)
+    closure.add(seed_set)
+    return HSSet(frozenset(closure.vertices), seed_set)
 
 
 def is_hereditary(g: Graph, vs: Iterable[str]) -> bool:

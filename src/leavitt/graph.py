@@ -385,14 +385,84 @@ def tree(g: Graph, v: str) -> TreeView:
     return TreeView(v, verts, induced)
 
 
+@dataclass(frozen=True)
+class Condensation:
+    """The strongly connected components (SCCs) of a graph.
+
+    SCCs are numbered in topological order: every edge between two SCCs
+    runs from a lower number to a higher one.  ``inner_edges[i]`` counts the
+    concrete edges with both ends in SCC ``i`` (``OMEGA`` when an infinite
+    bundle lies inside it); an SCC lies on a closed path exactly when that
+    count is not 0.
+    """
+
+    component: Mapping[str, int]
+    members: tuple[tuple[str, ...], ...]
+    inner_edges: tuple[Mult, ...]
+    successors: tuple[tuple[int, ...], ...]
+
+
+def condensation(g: Graph) -> Condensation:
+    """Tarjan's SCC algorithm with an explicit stack: O(V + E)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    found: list[list[str]] = []  # SCCs, each after every SCC it reaches
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g._succ[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g._succ[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    found.append(scc)
+    n = len(found)
+    component = {v: n - 1 - i for i, scc in enumerate(found) for v in scc}
+    members = tuple(tuple(sorted(scc)) for scc in reversed(found))
+    inner: list[Mult] = [0] * n
+    successors: list[set[int]] = [set() for _ in range(n)]
+    for e in g.edges:
+        i, j = component[e.src], component[e.dst]
+        if i != j:
+            successors[i].add(j)
+        elif e.mult is OMEGA or inner[i] is OMEGA:
+            inner[i] = OMEGA
+        else:
+            inner[i] += e.mult
+    return Condensation(component, members, tuple(inner), tuple(tuple(sorted(s)) for s in successors))
+
+
 def vertices_on_closed_paths(g: Graph) -> frozenset[str]:
     """Vertices that lie on at least one closed path."""
-    out = set()
-    for v in g.vertices:
-        succ = g.successors(v)
-        if succ and v in g.reachable(succ):
-            out.add(v)
-    return frozenset(out)
+    from .structure import GraphAnalysis  # structure builds on this module
+
+    return GraphAnalysis(g).vertices_on_closed_paths
 
 
 def line_points(g: Graph) -> frozenset[str]:
@@ -400,14 +470,9 @@ def line_points(g: Graph) -> frozenset[str]:
 
     An infinite bundle counts as a bifurcation.
     """
-    on_cycle = vertices_on_closed_paths(g)
+    from .structure import GraphAnalysis
 
-    def bad(w: str) -> bool:
-        d = g.out_degree(w)
-        return w in on_cycle or d is OMEGA or d >= 2
-
-    bad_set = {w for w in g.vertices if bad(w)}
-    return frozenset(v for v in g.vertices if not (g.reachable([v]) & bad_set))
+    return GraphAnalysis(g).line_points
 
 
 def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cycle]:
@@ -445,100 +510,50 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
             if len(found) > max_cycles:
                 raise ResourceCapError(f"more than {max_cycles} simple cycles")
 
-    def walk(root: str, v: str, visited: set[str], steps: list[tuple[str, str]]) -> None:
-        for w in g.successors(v):
-            if w == root:
-                expand(steps + [(v, w)])
-            elif order[w] > order[root] and w not in visited:
-                visited.add(w)
-                walk(root, w, visited, steps + [(v, w)])
-                visited.remove(w)
-
+    # depth-first from each root through higher-ordered vertices only, so
+    # each vertex itinerary is found once, from its least vertex
     for root in g.vertices:
-        walk(root, root, {root}, [])
+        rank = order[root]
+        visited = {root}
+        steps: list[tuple[str, str]] = []  # the current path, one step per frame below root
+        work = [(root, iter(g._succ[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w == root:
+                    steps.append((v, w))
+                    expand(steps)
+                    steps.pop()
+                elif order[w] > rank and w not in visited:
+                    visited.add(w)
+                    steps.append((v, w))
+                    work.append((w, iter(g._succ[w])))
+                    break
+            else:
+                work.pop()
+                if work:
+                    visited.discard(v)
+                    steps.pop()
     return sorted(found, key=Cycle.sort_key)
 
 
-def condition_L(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> bool:
+def condition_L(g: Graph) -> bool:
     """Every simple cycle has an exit."""
-    return all(cycle_has_exit(g, c) for c in enumerate_cycles(g, max_cycles))
+    from .structure import GraphAnalysis
+
+    return GraphAnalysis(g).condition_L
 
 
-def condition_K(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> bool:
+def condition_K(g: Graph) -> bool:
     """Every vertex on a simple closed path is the base of at least two
     distinct simple closed paths.
 
     A simple closed path based at v is a first-return path: it touches v only
     at its two ends, with no constraint on the other vertices.
     """
-    cyclic: set[str] = set()
-    for c in enumerate_cycles(g, max_cycles):
-        cyclic.update(cycle_vertices(g, c))
-    return all(_two_first_returns(g, v) for v in sorted(cyclic))
+    from .structure import GraphAnalysis
 
-
-def _two_first_returns(g: Graph, v: str) -> bool:
-    # R = vertices (other than v) lying on some v -> v walk avoiding v inside
-    fwd = set()
-    todo = [w for w in g.successors(v)]
-    while todo:
-        w = todo.pop()
-        if w in fwd or w == v:
-            continue
-        fwd.add(w)
-        todo.extend(g.successors(w))
-    bwd = set()
-    todo = [e.src for e in g.in_bundles(v)]
-    while todo:
-        w = todo.pop()
-        if w in bwd or w == v:
-            continue
-        bwd.add(w)
-        todo.extend(e.src for e in g.in_bundles(w))
-    r = fwd & bwd
-
-    # a closed path inside R can be pumped: infinitely many first returns
-    for w in r:
-        seen: set[str] = set()
-        todo = [x for x in g.successors(w) if x in r]
-        while todo:
-            x = todo.pop()
-            if x == w:
-                return True
-            if x in seen or x not in r:
-                continue
-            seen.add(x)
-            todo.extend(y for y in g.successors(x) if y in r)
-
-    # otherwise R induces a DAG: count v -> v paths exactly, capped at 2
-    memo: dict[str, int] = {}
-
-    def ways(w: str) -> int:
-        # number of paths from w to v staying in R until the final step
-        if w in memo:
-            return memo[w]
-        total = 0
-        for e in g.out_bundles(w):
-            m = 2 if e.mult is OMEGA else e.mult
-            if e.dst == v:
-                total += m
-            elif e.dst in r:
-                total += m * ways(e.dst)
-            if total >= 2:
-                break
-        memo[w] = min(total, 2)
-        return memo[w]
-
-    count = 0
-    for e in g.out_bundles(v):
-        m = 2 if e.mult is OMEGA else e.mult
-        if e.dst == v:
-            count += m
-        elif e.dst in r:
-            count += m * ways(e.dst)
-        if count >= 2:
-            return True
-    return count >= 2
+    return GraphAnalysis(g).condition_K
 
 
 # ---------------------------------------------------------------------------

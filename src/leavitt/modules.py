@@ -396,6 +396,8 @@ def stream_from_obj(g: Graph, obj) -> StreamDescriptor:
     if obj["kind"] == "periodic":
         return periodic_stream(g, obj.get("period", []), obj.get("prefix", []))
     if obj["kind"] == "ghstream":
+        if "g" not in obj or "h" not in obj:
+            raise NotSupportedError("a ghstream descriptor needs the cycles \"g\" and \"h\"")
         first = canonical_cycle(g, str(obj["g"]).replace(",", " ").split())
         second = canonical_cycle(g, str(obj["h"]).replace(",", " ").split())
         return generated_stream(g, first, second)

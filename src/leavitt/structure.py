@@ -5,37 +5,39 @@ questions answered here: whether every irreducible representation of the path
 algebra is finitely presented, and whether the algebra's growth is
 polynomially bounded.  Filtration builders produce the witnessing chains of
 hereditary saturated sets with a layer descriptor per step.
+
+Every answer is read off the strongly connected components (SCCs) of the
+graph by :class:`GraphAnalysis`, in time linear in the size of the graph.
+Two cycles reach each other exactly when they lie in the same SCC, so the
+pre-order is antisymmetric exactly when every SCC on a closed path is a
+single simple cycle, that is, has as many inner edges as vertices.  Only
+:func:`cycle_poset` lists cycles, and only it is capped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from typing import AbstractSet, Union
 
-from .closures import HSSet, enumerate_hs_sets, quotient, saturated_closure
-from .errors import NotSupportedError, ResourceCapError
+from .closures import HSSet, SaturatedClosure, saturated_closure
+from .errors import InfinitelyManyCyclesError, NotSupportedError
 from .graph import (
     MAX_CYCLES_DEFAULT,
     OMEGA,
     Cycle,
     Graph,
-    condition_K,
-    condition_L,
+    canonical_cycle,
+    condensation,
     cycle_base,
-    cycle_has_exit,
     cycle_vertices,
     enumerate_cycles,
-    line_points,
-    tree,
-    vertices_on_closed_paths,
 )
 
 # reason codes for finite-presentation verdicts
 NOT_ROW_FINITE = "NOT_ROW_FINITE"
 GEQ_NOT_ANTISYMMETRIC = "GEQ_NOT_ANTISYMMETRIC"
-COND_2C_FAIL = "COND_2C_FAIL"
-COND_2D_FAIL = "COND_2D_FAIL"
-ACYCLIC_SOCLE_FAIL = "ACYCLIC_SOCLE_FAIL"
 OK_ACYCLIC = "OK_ACYCLIC"
 OK_CYCLIC = "OK_CYCLIC"
 
@@ -69,40 +71,7 @@ class CyclePoset:
 
 
 def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
-    cycles = tuple(enumerate_cycles(g, max_cycles))
-    reach = {v: g.reachable([v]) for v in g.vertices}
-    vsets = [cycle_vertices(g, c) for c in cycles]
-    n = len(cycles)
-    geq = tuple(
-        tuple(bool(set().union(*(reach[v] for v in vsets[i])) & vsets[j]) for j in range(n))
-        for i in range(n)
-    )
-    antisymmetric = all(
-        not (geq[i][j] and geq[j][i]) for i in range(n) for j in range(n) if i != j
-    )
-    minimal = tuple(
-        cycles[i]
-        for i in range(n)
-        if not any(geq[i][j] and not geq[j][i] for j in range(n) if j != i)
-    )
-    no_exit = tuple(c for c in cycles if not cycle_has_exit(g, c))
-    longest: int | None
-    if not antisymmetric:
-        longest = None
-    elif n == 0:
-        longest = 0
-    else:
-        memo: dict[int, int] = {}
-
-        def depth(i: int) -> int:
-            if i in memo:
-                return memo[i]
-            below = [depth(j) for j in range(n) if j != i and geq[i][j]]
-            memo[i] = 1 + max(below, default=0)
-            return memo[i]
-
-        longest = max(depth(i) for i in range(n))
-    return CyclePoset(cycles, geq, antisymmetric, longest, minimal, no_exit)
+    return GraphAnalysis(g).cycle_poset(max_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -127,90 +96,20 @@ class FpVerdict:
         }
 
 
-def decide_fp(
-    g: Graph,
-    max_cycles: int = MAX_CYCLES_DEFAULT,
-    max_vertices_hs: int = 20,
-) -> FpVerdict:
+def decide_fp(g: Graph) -> FpVerdict:
     """Decide whether every simple one-sided module over the path algebra is
     finitely presented.
 
-    Not-row-finite graphs fail outright.  Acyclic graphs pass exactly when
-    the whole vertex set is the saturated closure of the line points.  Cyclic
-    graphs need an antisymmetric cycle pre-order and, for every proper
-    hereditary saturated set containing all line points, a quotient with a
-    cycle without exits and no line points.
+    Not-row-finite graphs fail outright.  On a finite row-finite graph the
+    verdict holds exactly when the cycle pre-order is antisymmetric (it is
+    then artinian, and the socle and quotient conditions hold).
     """
-    for e in g.edges:
-        if e.mult is OMEGA:
-            return FpVerdict(
-                False, ({"code": NOT_ROW_FINITE, "witness": e.id},)
-            )
-    lp = line_points(g)
-    cycles = enumerate_cycles(g, max_cycles)
-    if not cycles:
-        closure = saturated_closure(g, lp)
-        if closure.vertices == frozenset(g.vertices):
-            return FpVerdict(True, ({"code": OK_ACYCLIC, "witness": None},))
-        missing = sorted(set(g.vertices) - closure.vertices)
-        return FpVerdict(
-            False, ({"code": ACYCLIC_SOCLE_FAIL, "witness": missing},)
-        )
-
-    cp = cycle_poset(g, max_cycles)
-    notes = (
-        "the cycle pre-order on a finite graph is artinian once antisymmetric",
-        "every infinite path in a finite graph eventually winds around a cycle "
-        "or reaches a line point, so the infinite-path condition holds",
-    )
-    if not cp.antisymmetric:
-        witness = None
-        for i, c in enumerate(cp.cycles):
-            for j, d in enumerate(cp.cycles):
-                if i != j and cp.geq[i][j] and cp.geq[j][i]:
-                    witness = [list(c.edges), list(d.edges)]
-                    break
-            if witness:
-                break
-        return FpVerdict(
-            False, ({"code": GEQ_NOT_ANTISYMMETRIC, "witness": witness},), notes
-        )
-
-    full = frozenset(g.vertices)
-    for h in enumerate_hs_sets(g, max_vertices_hs):
-        if h.vertices == full or not lp <= h.vertices:
-            continue
-        q = quotient(g, h.vertices)
-        q_cycles = enumerate_cycles(q, max_cycles)
-        has_no_exit = any(not cycle_has_exit(q, c) for c in q_cycles)
-        q_lp = line_points(q)
-        if not has_no_exit or q_lp:
-            return FpVerdict(
-                False,
-                (
-                    {
-                        "code": COND_2D_FAIL,
-                        "witness": {
-                            "h": sorted(h.vertices),
-                            "quotientHasNoExitCycle": has_no_exit,
-                            "quotientLinePoints": sorted(q_lp),
-                        },
-                    },
-                ),
-                notes,
-            )
-    return FpVerdict(True, ({"code": OK_CYCLIC, "witness": None},), notes)
+    return GraphAnalysis(g).fp_verdict()
 
 
-def disjoint_cycles_criterion(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> bool:
+def disjoint_cycles_criterion(g: Graph) -> bool:
     """No vertex lies on two distinct cycles (the finite-graph criterion)."""
-    seen: set[str] = set()
-    for c in enumerate_cycles(g, max_cycles):
-        vs = cycle_vertices(g, c)
-        if vs & seen:
-            return False
-        seen |= vs
-    return True
+    return GraphAnalysis(g).antisymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +135,11 @@ class GkVerdict:
         }
 
 
-def decide_gk(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> GkVerdict:
+def decide_gk(g: Graph) -> GkVerdict:
     """Growth is polynomially bounded iff distinct cycles never meet, i.e.
     the cycle pre-order is antisymmetric; the longest chain d gives the lower
     bound 2d - 1 for the growth exponent (0 when acyclic)."""
-    notes = ()
-    if not g.is_row_finite():
-        notes = ("graph has infinite bundles; verdict covers the listed structure only",)
-    cp = cycle_poset(g, max_cycles)
-    if not cp.antisymmetric:
-        witness = None
-        for i, c in enumerate(cp.cycles):
-            for j, d in enumerate(cp.cycles):
-                if i != j and cp.geq[i][j] and cp.geq[j][i]:
-                    witness = [list(c.edges), list(d.edges)]
-                    break
-            if witness:
-                break
-        return GkVerdict(False, None, None, witness, notes)
-    d = cp.longest_chain or 0
-    return GkVerdict(True, d, 2 * d - 1 if d > 0 else 0, None, notes)
+    return GraphAnalysis(g).gk_verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -336,149 +220,24 @@ def laurent_index_cardinality(g: Graph, c: Cycle) -> Union[int, object]:
     only at their end (the length-0 path included); the count is OMEGA as
     soon as a cycle other than ``c`` reaches the base.
     """
-    base = cycle_base(g, c)
-    # paths visiting base once = paths ending at base avoiding base's out-edges
-    on_cycle_sans_base: set[str] = set()
-    for v in g.vertices:
-        if v == base:
-            continue
-        seen: set[str] = set()
-        todo = [e.dst for e in g.out_bundles(v) if e.src != base and e.dst != base]
-        while todo:
-            w = todo.pop()
-            if w == v:
-                on_cycle_sans_base.add(v)
-                break
-            if w in seen or w == base:
-                continue
-            seen.add(w)
-            todo.extend(e.dst for e in g.out_bundles(w))
-        # note: edges out of base are unusable, so walks through base stop there
-    reaches_base = {base}
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            if e.src != base and e.src not in reaches_base and e.dst in reaches_base:
-                reaches_base.add(e.src)
-                changed = True
-    if on_cycle_sans_base & reaches_base:
-        return OMEGA
-
-    memo: dict[str, Union[int, object]] = {base: 1}
-
-    def count_from(v: str) -> Union[int, object]:
-        if v in memo:
-            return memo[v]
-        total = 0
-        for e in g.out_bundles(v):
-            if e.dst not in reaches_base:
-                continue
-            sub = 1 if e.dst == base else count_from(e.dst)
-            if e.mult is OMEGA or sub is OMEGA:
-                total = OMEGA
-                break
-            total += e.mult * sub
-        memo[v] = total
-        return total
-
-    total: Union[int, object] = 1  # the length-0 path at the base
-    for v in sorted(reaches_base - {base}):
-        sub = count_from(v)
-        if sub is OMEGA:
-            return OMEGA
-        total += sub
-    return total
+    return GraphAnalysis(g).entry_paths(cycle_base(g, c), frozenset())
 
 
-def fp_filtration(
-    g: Graph,
-    max_cycles: int = MAX_CYCLES_DEFAULT,
-    max_vertices_hs: int = 20,
-) -> Filtration:
+def fp_filtration(g: Graph) -> Filtration:
     """The ascending chain of hereditary saturated sets witnessing the
     finite-presentation property: the socle closure first, then one cycle
     without exits per step (lexicographically least in the current quotient).
     """
-    verdict = decide_fp(g, max_cycles, max_vertices_hs)
-    if not verdict.all_finitely_presented:
-        raise NotSupportedError(
-            f"not every simple module is finitely presented: {verdict.codes()}"
-        )
-    full = frozenset(g.vertices)
-    h = saturated_closure(g, line_points(g))
-    chain = [h]
-    layers: list[Layer] = [SocleLayer(h.vertices)]
-    while h.vertices != full:
-        q = quotient(g, h.vertices)
-        no_exit = [c for c in enumerate_cycles(q, max_cycles) if not cycle_has_exit(q, c)]
-        c = min(no_exit, key=Cycle.sort_key)
-        card = laurent_index_cardinality(q, c)
-        h = saturated_closure(g, h.vertices | cycle_vertices(q, c))
-        chain.append(h)
-        layers.append(LaurentMatrixLayer(c, card))
-    return Filtration(tuple(chain), tuple(layers))
+    return GraphAnalysis(g).fp_filtration()
 
 
-def _acyclic_vertices(g: Graph) -> frozenset[str]:
-    on_cycle = vertices_on_closed_paths(g)
-    return frozenset(v for v in g.vertices if not (g.reachable([v]) & on_cycle))
-
-
-def gk_filtration(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> Filtration:
+def gk_filtration(g: Graph) -> Filtration:
     """The finite chain of hereditary saturated sets witnessing polynomially
     bounded growth: first the closure of the exit targets of minimal cycles,
     then, per step, all acyclic vertices and all no-exit cycles of the
     current quotient.
     """
-    verdict = decide_gk(g, max_cycles)
-    if not verdict.finite:
-        raise NotSupportedError("growth is not polynomially bounded")
-    if not g.is_row_finite():
-        raise NotSupportedError("filtrations require a row-finite graph")
-    full = frozenset(g.vertices)
-    cp = cycle_poset(g, max_cycles)
-    exit_targets: set[str] = set()
-    for c in cp.minimal_cycles:
-        cvs = cycle_vertices(g, c)
-        on_cycle = set(c.edges)
-        for v in cvs:
-            for addr in g.concrete_out(v):
-                if addr not in on_cycle:
-                    exit_targets.add(g.dst_of(addr))
-    h = saturated_closure(g, exit_targets)
-    chain: list[HSSet] = []
-    layers: list[Layer] = []
-    if h.vertices:
-        chain.append(h)
-        layers.append(VnrLayer(h.vertices))
-    while h.vertices != full:
-        q = quotient(g, h.vertices)
-        acyclic = _acyclic_vertices(q)
-        no_exit = sorted(
-            (c for c in enumerate_cycles(q, max_cycles) if not cycle_has_exit(q, c)),
-            key=Cycle.sort_key,
-        )
-        added = set(acyclic)
-        for c in no_exit:
-            added |= cycle_vertices(q, c)
-        laurent = tuple(LaurentMatrixLayer(c, laurent_index_cardinality(q, c)) for c in no_exit)
-        if acyclic and laurent:
-            layer: Layer = MixedLayer(acyclic, laurent)
-        elif laurent and len(laurent) == 1:
-            layer = laurent[0]
-        elif laurent:
-            layer = MixedLayer(frozenset(), laurent)
-        else:
-            layer = VnrLayer(acyclic)
-        h = saturated_closure(g, h.vertices | added)
-        chain.append(h)
-        layers.append(layer)
-    if not chain:
-        # graph with no vertices at all
-        chain = [saturated_closure(g, ())]
-        layers = [VnrLayer(frozenset())]
-    return Filtration(tuple(chain), tuple(layers))
+    return GraphAnalysis(g).gk_filtration()
 
 
 # ---------------------------------------------------------------------------
@@ -527,33 +286,461 @@ class CornerReport:
         }
 
 
-def corner_report(g: Graph, v: str, max_cycles: int = MAX_CYCLES_DEFAULT) -> CornerReport:
+def corner_report(g: Graph, v: str) -> CornerReport:
     """Evaluate the tree of ``v`` as a complete subgraph and emit the ring
     labels its properties certify."""
-    t = tree(g, g.require_vertex(v)).as_graph()
-    on_cycle = vertices_on_closed_paths(t)
-    acyclic = not on_cycle
-    is_lp = v in line_points(g)
-    no_exit_tree = _tree_is_no_exit_cycle(t, v)
-    cond_l = condition_L(t, max_cycles)
-    cond_k = condition_K(t, max_cycles)
-    return CornerReport(v, is_lp, no_exit_tree, acyclic, cond_l, cond_k)
+    return GraphAnalysis(g).corner_report(v)
 
 
-def _tree_is_no_exit_cycle(t: Graph, v: str) -> bool:
-    # the tree is a single cycle without exits iff every vertex emits exactly
-    # one edge and the unique walk from v returns to v through all vertices
-    for w in t.vertices:
-        if t.out_degree(w) != 1:
-            return False
-    seen = []
-    at = v
-    while True:
-        seen.append(at)
-        (e,) = t.out_bundles(at)
-        at = e.dst
-        if at == v:
-            break
-        if at in seen:
-            return False
-    return len(seen) == len(t.vertices)
+# ---------------------------------------------------------------------------
+# Graph analysis
+# ---------------------------------------------------------------------------
+
+
+class GraphAnalysis:
+    """The structural answers about one graph, each computed at most once
+    from its SCC condensation.
+
+    A cyclic SCC (more than one vertex, or a loop) is a single simple cycle
+    when it has exactly one inner edge per vertex.  Cycles in different SCCs
+    never reach each other both ways, so:
+
+    * the pre-order is antisymmetric iff every cyclic SCC is a single cycle,
+      and the longest chain is the longest path of the condensation DAG,
+      counting cyclic SCCs;
+    * the minimal cycles are those of the cyclic SCCs that reach no other
+      cyclic SCC, and a cycle has no exit iff its SCC is a single cycle that
+      no edge leaves;
+    * (L) fails iff a no-exit cycle exists, and (K) holds iff no cyclic SCC
+      is a single cycle.
+
+    Where the cycle set would be infinite (an infinite bundle inside an SCC)
+    the answers that depend on it raise :class:`InfinitelyManyCyclesError`,
+    as enumerating the cycles would.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.scc = condensation(g)
+        self._cyclic = [k != 0 for k in self.scc.inner_edges]
+        self._single_cycle = [k == len(vs) for k, vs in zip(self.scc.inner_edges, self.scc.members)]
+        self._no_exit = [c and not s for c, s in zip(self._single_cycle, self.scc.successors)]
+
+    # -- reachability over the condensation ----------------------------------
+
+    def _reaches(self, flags: list[bool]) -> list[bool]:
+        """Per SCC: whether it reaches (or is) an SCC whose flag is set."""
+        out = list(flags)
+        succ = self.scc.successors
+        for i in reversed(range(len(out))):
+            if not out[i]:
+                out[i] = any(out[j] for j in succ[i])
+        return out
+
+    @cached_property
+    def _reaches_cyclic(self) -> list[bool]:
+        return self._reaches(self._cyclic)
+
+    @cached_property
+    def _reaches_no_exit(self) -> list[bool]:
+        return self._reaches(self._no_exit)
+
+    @cached_property
+    def _reaches_single_cycle(self) -> list[bool]:
+        return self._reaches(self._single_cycle)
+
+    @cached_property
+    def _reaches_infinite_cycles(self) -> list[bool]:
+        return self._reaches([k is OMEGA for k in self.scc.inner_edges])
+
+    def _require_finitely_many_cycles(self, start: int | None = None) -> None:
+        """Raise as cycle enumeration would if an infinite bundle lies on a
+        closed path (of the whole graph, or of the tree of SCC ``start``)."""
+        infinite = self._reaches_infinite_cycles
+        if not (any(infinite) if start is None else infinite[start]):
+            return
+        within = set(range(len(infinite)) if start is None else [start])
+        todo = list(within)
+        while todo:
+            for j in self.scc.successors[todo.pop()]:
+                if j not in within:
+                    within.add(j)
+                    todo.append(j)
+        comp = self.scc.component
+        for e in self.graph.edges:
+            if e.mult is OMEGA and comp[e.src] == comp[e.dst] and comp[e.src] in within:
+                raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
+
+    # -- vertex sets ---------------------------------------------------------
+
+    @cached_property
+    def vertices_on_closed_paths(self) -> frozenset[str]:
+        members = self.scc.members
+        return frozenset(v for i, c in enumerate(self._cyclic) if c for v in members[i])
+
+    @cached_property
+    def line_points(self) -> frozenset[str]:
+        """The vertices that reach no bad vertex (one on a closed path, or
+        emitting two or more edges), found by one reverse search."""
+        g = self.graph
+        on_cycle = self.vertices_on_closed_paths
+        todo = []
+        for w in g.vertices:
+            d = g.out_degree(w)
+            if w in on_cycle or d is OMEGA or d >= 2:
+                todo.append(w)
+        reaches_bad = set(todo)
+        while todo:
+            for e in g.in_bundles(todo.pop()):
+                if e.src not in reaches_bad:
+                    reaches_bad.add(e.src)
+                    todo.append(e.src)
+        return frozenset(v for v in g.vertices if v not in reaches_bad)
+
+    # -- the cycle pre-order -------------------------------------------------
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        self._require_finitely_many_cycles()
+        return all(s for c, s in zip(self._cyclic, self._single_cycle) if c)
+
+    @cached_property
+    def longest_chain(self) -> int | None:
+        if not self.antisymmetric:
+            return None
+        succ = self.scc.successors
+        depth = [0] * len(succ)
+        for i in reversed(range(len(succ))):
+            depth[i] = self._cyclic[i] + max((depth[j] for j in succ[i]), default=0)
+        return max(depth, default=0)
+
+    @cached_property
+    def condition_L(self) -> bool:
+        self._require_finitely_many_cycles()
+        return not any(self._no_exit)
+
+    @cached_property
+    def condition_K(self) -> bool:
+        self._require_finitely_many_cycles()
+        return not any(self._single_cycle)
+
+    def cycle_poset(self, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
+        """The enumerated cycles, with ``geq`` read from SCC reachability."""
+        g, comp, succ = self.graph, self.scc.component, self.scc.successors
+        cycles = tuple(enumerate_cycles(g, max_cycles))
+        reach = [0] * len(succ)  # bit j set: SCC j is reachable
+        for i in reversed(range(len(succ))):
+            bits = 1 << i
+            for j in succ[i]:
+                bits |= reach[j]
+            reach[i] = bits
+        at = [comp[cycle_base(g, c)] for c in cycles]
+        geq = tuple(tuple(bool(reach[i] >> j & 1) for j in at) for i in at)
+        return CyclePoset(
+            cycles,
+            geq,
+            self.antisymmetric,
+            self.longest_chain,
+            tuple(c for c, i in zip(cycles, at) if self._minimal[i]),
+            tuple(c for c, i in zip(cycles, at) if self._no_exit[i]),
+        )
+
+    @cached_property
+    def _minimal(self) -> list[bool]:
+        """Per SCC: whether it is cyclic and reaches no other cyclic SCC."""
+        into_cyclic = [any(self._cyclic[j] for j in s) for s in self.scc.successors]
+        return [c and not r for c, r in zip(self._cyclic, self._reaches(into_cyclic))]
+
+    def _scc_cycle(self, i: int) -> Cycle:
+        """The cycle of an SCC that is a single cycle."""
+        g, comp = self.graph, self.scc.component
+        start = v = self.scc.members[i][0]
+        edges = []
+        while True:
+            (e,) = [b for b in g.out_bundles(v) if comp[b.dst] == i]
+            edges.append(e.id)
+            v = e.dst
+            if v == start:
+                return canonical_cycle(g, edges)
+
+    def _witness(self) -> list[list[str]]:
+        """Two distinct cycles of the first SCC (by least vertex) that is not
+        a single cycle: at its least vertex u with two inner concrete
+        out-edges, each of the first two of them (in bundle id, then index,
+        order) closed by a shortest return path to u."""
+        g, scc = self.graph, self.scc
+        i = min(
+            (k for k, c in enumerate(self._cyclic) if c and not self._single_cycle[k]),
+            key=lambda k: scc.members[k][0],
+        )
+        for u in scc.members[i]:
+            firsts = [
+                (_address(e, k), e.dst)
+                for e in g.out_bundles(u)
+                if scc.component[e.dst] == i
+                for k in range(min(e.mult, 2))
+            ][:2]
+            if len(firsts) == 2:
+                break
+        return [list(self._closed_by_return(u, a, w, i).edges) for a, w in firsts]
+
+    def _closed_by_return(self, u: str, address: str, w: str, i: int) -> Cycle:
+        """The cycle made of edge ``address`` (u -> w) and a shortest path
+        from w back to u inside SCC ``i``."""
+        g, comp = self.graph, self.scc.component
+        via = {w: None}
+        todo = deque([w])
+        while u not in via:
+            x = todo.popleft()
+            for e in g.out_bundles(x):
+                if e.dst not in via and comp[e.dst] == i:
+                    via[e.dst] = e
+                    todo.append(e.dst)
+        back = []
+        x = u
+        while x != w:
+            e = via[x]
+            back.append(_address(e, 0))
+            x = e.src
+        return canonical_cycle(g, [address] + back[::-1])
+
+    # -- verdicts ------------------------------------------------------------
+
+    def fp_verdict(self) -> FpVerdict:
+        for e in self.graph.edges:
+            if e.mult is OMEGA:
+                return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": e.id},))
+        if not any(self._cyclic):
+            return FpVerdict(True, ({"code": OK_ACYCLIC, "witness": None},))
+        notes = (
+            "the cycle pre-order on a finite graph is artinian once antisymmetric",
+            "every infinite path in a finite graph eventually winds around a cycle "
+            "or reaches a line point, so the infinite-path condition holds",
+        )
+        if not self.antisymmetric:
+            return FpVerdict(
+                False, ({"code": GEQ_NOT_ANTISYMMETRIC, "witness": self._witness()},), notes
+            )
+        return FpVerdict(True, ({"code": OK_CYCLIC, "witness": None},), notes)
+
+    def gk_verdict(self) -> GkVerdict:
+        notes = ()
+        if not self.graph.is_row_finite():
+            notes = ("graph has infinite bundles; verdict covers the listed structure only",)
+        if not self.antisymmetric:
+            return GkVerdict(False, None, None, self._witness(), notes)
+        d = self.longest_chain
+        return GkVerdict(True, d, 2 * d - 1 if d > 0 else 0, None, notes)
+
+    def corner_report(self, v: str) -> CornerReport:
+        """The tree of ``v`` is the union of the SCCs reachable from v's SCC."""
+        i = self.scc.component[self.graph.require_vertex(v)]
+        self._require_finitely_many_cycles(i)
+        return CornerReport(
+            v,
+            v in self.line_points,
+            self._no_exit[i],
+            not self._reaches_cyclic[i],
+            not self._reaches_no_exit[i],
+            not self._reaches_single_cycle[i],
+        )
+
+    # -- filtrations ---------------------------------------------------------
+
+    def entry_paths(self, base: str, removed: AbstractSet[str]) -> Union[int, object]:
+        """The paths of the graph minus ``removed`` that end at ``base`` and
+        touch it only there, counted (OMEGA when there are infinitely many).
+
+        One reverse search collects the vertices that reach the base, then
+        the paths are counted in topological order; a closed path among
+        those vertices, or an infinite bundle between them, makes the count
+        OMEGA.
+        """
+        g, comp = self.graph, self.scc.component
+        home = comp[base]
+        reach = {base}
+        todo = [base]
+        while todo:
+            for e in g.in_bundles(todo.pop()):
+                s = e.src
+                if s in reach or s in removed:
+                    continue
+                if comp[s] != home and self._cyclic[comp[s]]:
+                    return OMEGA  # another cycle feeds the base
+                reach.add(s)
+                todo.append(s)
+        pending = {}  # per vertex: bundles into reach - {base} not yet counted
+        for v in reach - {base}:
+            pending[v] = 0
+            for e in g.out_bundles(v):
+                if e.dst in reach:
+                    if e.mult is OMEGA:
+                        return OMEGA
+                    if e.dst != base:
+                        pending[v] += 1
+        ways = {base: 1}
+        total = 1  # the length-0 path at the base
+        ready = [v for v, k in pending.items() if k == 0]
+        while ready:
+            v = ready.pop()
+            ways[v] = n = sum(e.mult * ways[e.dst] for e in g.out_bundles(v) if e.dst in reach)
+            total += n
+            for e in g.in_bundles(v):
+                if e.src in pending:
+                    pending[e.src] -= 1
+                    if pending[e.src] == 0:
+                        ready.append(e.src)
+        if len(ways) < len(reach):
+            return OMEGA  # a closed path avoiding the base feeds it
+        return total
+
+    def fp_filtration(self) -> Filtration:
+        verdict = self.fp_verdict()
+        if not verdict.all_finitely_presented:
+            raise NotSupportedError(
+                f"not every simple module is finitely presented: {verdict.codes()}"
+            )
+        g = self.graph
+        q = _Quotient(self)
+        q.grow(self.line_points)
+        chain = [HSSet(frozenset(q.closure.vertices), self.line_points)]
+        layers: list[Layer] = [SocleLayer(chain[0].vertices)]
+        while len(q.closure.vertices) < len(g.vertices):
+            c = min(q.no_exit_cycles(), key=Cycle.sort_key)
+            card = self.entry_paths(cycle_base(g, c), q.closure.vertices)
+            cycle = cycle_vertices(g, c)
+            q.grow(cycle)
+            chain.append(HSSet(frozenset(q.closure.vertices), chain[-1].vertices | cycle))
+            layers.append(LaurentMatrixLayer(c, card))
+        return Filtration(tuple(chain), tuple(layers))
+
+    def gk_filtration(self) -> Filtration:
+        g = self.graph
+        if not self.gk_verdict().finite:
+            raise NotSupportedError("growth is not polynomially bounded")
+        if not g.is_row_finite():
+            raise NotSupportedError("filtrations require a row-finite graph")
+        comp = self.scc.component
+        exit_targets = frozenset(
+            e.dst
+            for i, vs in enumerate(self.scc.members)
+            if self._minimal[i]
+            for v in vs
+            for e in g.out_bundles(v)
+            if comp[e.dst] != i
+        )
+        q = _Quotient(self)
+        q.grow(exit_targets)
+        chain: list[HSSet] = []
+        layers: list[Layer] = []
+        if q.closure.vertices:
+            chain.append(HSSet(frozenset(q.closure.vertices), exit_targets))
+            layers.append(VnrLayer(chain[0].vertices))
+        while len(q.closure.vertices) < len(g.vertices):
+            acyclic = q.take_acyclic()
+            no_exit = sorted(q.no_exit_cycles(), key=Cycle.sort_key)
+            added = set(acyclic)
+            for c in no_exit:
+                added |= cycle_vertices(g, c)
+            laurent = tuple(
+                LaurentMatrixLayer(c, self.entry_paths(cycle_base(g, c), q.closure.vertices))
+                for c in no_exit
+            )
+            if acyclic and laurent:
+                layer: Layer = MixedLayer(acyclic, laurent)
+            elif laurent and len(laurent) == 1:
+                layer = laurent[0]
+            elif laurent:
+                layer = MixedLayer(frozenset(), laurent)
+            else:
+                layer = VnrLayer(acyclic)
+            seed = frozenset(q.closure.vertices) | added
+            q.grow(added)
+            chain.append(HSSet(frozenset(q.closure.vertices), seed))
+            layers.append(layer)
+        if not chain:
+            # graph with no vertices at all
+            chain = [saturated_closure(g, ())]
+            layers = [VnrLayer(frozenset())]
+        return Filtration(tuple(chain), tuple(layers))
+
+
+def _address(e, k: int) -> str:
+    """The concrete address of edge ``k`` of bundle ``e``."""
+    return e.id if e.mult == 1 else f"{e.id}[{k}]"
+
+
+class _Quotient:
+    """The quotient of a row-finite graph by a hereditary saturated set H
+    that grows step by step.
+
+    On a row-finite graph the quotient by H is the subgraph induced on
+    V \\ H, and H is a union of whole SCCs, so the SCCs of the quotient are
+    those of the graph outside H.  Per SCC this keeps the edge bundles that
+    still leave it outside H (a single cycle without any is a no-exit cycle
+    of the quotient) and the successor SCCs still outside H that reach a
+    cycle outside H (an SCC off cycles without any holds acyclic vertices
+    of the quotient).  Growing H from empty to everything costs O(V + E).
+    """
+
+    def __init__(self, a: GraphAnalysis):
+        self.a = a
+        scc = a.scc
+        n = len(scc.members)
+        self.closure = SaturatedClosure(a.graph)
+        self.in_h = [False] * n
+        self.exits = [0] * n
+        for e in a.graph.edges:
+            i = scc.component[e.src]
+            if i != scc.component[e.dst]:
+                self.exits[i] += 1
+        self.no_exit = {i for i in range(n) if a._single_cycle[i] and not self.exits[i]}
+        self.preds: list[list[int]] = [[] for _ in range(n)]
+        for i, succ in enumerate(scc.successors):
+            for j in succ:
+                self.preds[j].append(i)
+        self.live = [len(s) for s in scc.successors]
+        self.done = [False] * n  # in H, or outside H and reaching no cycle outside H
+        self.acyclic: list[int] = []  # SCCs done since the last take_acyclic
+        for i in range(n):
+            if not self.live[i] and not a._cyclic[i]:
+                self._finish(i)
+
+    def _finish(self, i: int) -> None:
+        todo = [i]
+        while todo:
+            k = todo.pop()
+            if self.done[k]:
+                continue
+            self.done[k] = True
+            self.acyclic.append(k)
+            for p in self.preds[k]:
+                self.live[p] -= 1
+                if not self.live[p] and not self.a._cyclic[p]:
+                    todo.append(p)
+
+    def grow(self, seed) -> None:
+        """Close H over ``seed``."""
+        g, comp = self.a.graph, self.a.scc.component
+        added = self.closure.add(seed)
+        for x in added:
+            for e in g.in_bundles(x):
+                i = comp[e.src]
+                if i != comp[x]:
+                    self.exits[i] -= 1
+                    if not self.exits[i] and self.a._single_cycle[i]:
+                        self.no_exit.add(i)
+        for i in {comp[x] for x in added}:
+            self.in_h[i] = True
+            self._finish(i)
+
+    def take_acyclic(self) -> frozenset[str]:
+        """The acyclic vertices of the quotient (those reaching no cycle)."""
+        members = self.a.scc.members
+        found = frozenset(v for i in self.acyclic if not self.in_h[i] for v in members[i])
+        self.acyclic = []
+        return found
+
+    def no_exit_cycles(self) -> list[Cycle]:
+        self.no_exit = {i for i in self.no_exit if not self.in_h[i]}
+        return [self.a._scc_cycle(i) for i in self.no_exit]

@@ -1,0 +1,72 @@
+"""The SCC structure core on large inputs: no recursion limit, no cap, and
+the witness rule for graphs whose cycle pre-order is not antisymmetric."""
+
+from __future__ import annotations
+
+import json
+
+from leavitt import (
+    Edge,
+    Graph,
+    canonical_cycle,
+    decide_fp,
+    decide_gk,
+    enumerate_cycles,
+    graph_to_json,
+    laurent_index_cardinality,
+)
+from leavitt.cli import main
+from leavitt.fixtures import g_loop_chain_with_sink
+
+
+def ring(n: int) -> Graph:
+    return Graph([f"v{i}" for i in range(n)], [Edge(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
+
+def test_enumerate_cycles_on_a_long_ring():
+    (c,) = enumerate_cycles(ring(1500))
+    assert len(c) == 1500 and c.edges[0] == "e0"
+
+
+def test_cli_gk_and_report_on_a_long_ring(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text(graph_to_json(ring(1500)))
+    assert main(["gk", str(path)]) == 0
+    gk = json.loads(capsys.readouterr().out)
+    assert (gk["finite"], gk["longestChain"], gk["lowerBound"]) == (True, 1, 1)
+    assert main(["report", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["cyclePoset"]["cycles"]) == 1
+    assert report["fp"]["reasons"][0]["code"] == "OK_CYCLIC"
+
+
+def test_fp_on_a_long_loop_chain_with_a_sink():
+    assert decide_fp(g_loop_chain_with_sink(3000)).codes() == ("OK_CYCLIC",)
+
+
+def test_laurent_cardinality_at_the_end_of_a_long_line():
+    n = 3000
+    verts = [f"v{i}" for i in range(n + 1)]
+    edges = [Edge(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n)] + [Edge("c", f"v{n}", f"v{n}")]
+    g = Graph(verts, edges)
+    assert laurent_index_cardinality(g, canonical_cycle(g, ["c"])) == n + 1
+
+
+def test_witness_closes_the_first_two_inner_edges_of_the_least_vertex():
+    # a figure eight a -> b -> a, a -> c -> a: b lies on one simple cycle only
+    g = Graph(
+        ["a", "b", "c"],
+        [Edge("ab", "a", "b"), Edge("ba", "b", "a"), Edge("ac", "a", "c"), Edge("ca", "c", "a")],
+    )
+    assert decide_gk(g).witness == [["ab", "ba"], ["ac", "ca"]]
+    # in (bundle id) order from the least such vertex, not shortest first
+    g = Graph(["a", "b"], [Edge("x", "a", "b"), Edge("y", "b", "a"), Edge("z", "a", "a")])
+    assert decide_gk(g).witness == [["x", "y"], ["z"]]
+    # the first offending SCC by least vertex, and a bundle's first two edges
+    g = Graph(
+        ["u", "x", "y"],
+        [Edge("b", "x", "y", 3), Edge("f", "y", "x"), Edge("g", "u", "u"), Edge("h", "u", "u")],
+    )
+    assert decide_fp(g).reasons[0]["witness"] == [["g"], ["h"]]
+    g = Graph(["x", "y"], [Edge("b", "x", "y", 3), Edge("f", "y", "x")])
+    assert decide_gk(g).witness == [["b[0]", "f"], ["b[1]", "f"]]
