@@ -78,11 +78,46 @@ class Rationals:
         return "Q"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below _MR_BOUND,
+# the least strong pseudoprime to all of them (Jiang and Deng, Math. Comp.
+# 2014).  The first 12 bases are not enough: 318665857834031151167461 is a
+# strong pseudoprime to each of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; cost grows with the digits of ``n``, not
+    with its square root."""
+    if n >= _MR_BOUND:
+        raise NotSupportedError(f"primality is decided only below {_MR_BOUND}, not for {n}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field GF(p); scalars are ints reduced mod p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise NotSupportedError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -195,7 +230,10 @@ class AlgebraContext:
         special = {}
         for v in graph.vertices:
             if is_regular(graph, v):
-                special[v] = min(graph.concrete_out(v))
+                # id[0] is the least address of its bundle
+                special[v] = min(
+                    e.id if e.mult == 1 else f"{e.id}[0]" for e in graph.out_bundles(v)
+                )
         if special_edges is not None:
             for v, addr in special_edges.items():
                 if v not in special:
@@ -469,14 +507,18 @@ def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
     return ctx.special.get(ctx.graph.src_of(addr)) != addr
 
 
-def _paths_by_length(ctx: AlgebraContext, max_len: int, cap: int) -> dict[str, list[list[Path]]]:
-    """paths[v][l] = all paths of length l ending at v; fails on infinite emitters."""
-    g = ctx.graph
+def _require_finite_bundles(g: Graph) -> None:
     for e in g.edges:
         if e.mult is OMEGA:
             raise ResourceCapError(
                 f"bundle {e.id!r} is infinite; path enumeration is unbounded"
             )
+
+
+def _paths_by_length(ctx: AlgebraContext, max_len: int, cap: int) -> dict[str, list[list[Path]]]:
+    """paths[v][l] = all paths of length l ending at v; fails on infinite emitters."""
+    g = ctx.graph
+    _require_finite_bundles(g)
     by_range: dict[str, list[list[Path]]] = {v: [[Path(v)]] for v in g.vertices}
     frontier = {v: [Path(v)] for v in g.vertices}
     total = len(g.vertices)
@@ -494,9 +536,6 @@ def _paths_by_length(ctx: AlgebraContext, max_len: int, cap: int) -> dict[str, l
             by_range[v].append(paths)
         frontier = nxt
         if not any(nxt.values()):
-            for v in g.vertices:
-                while len(by_range[v]) <= max_len:
-                    by_range[v].append([])
             break
     for v in g.vertices:
         while len(by_range[v]) <= max_len:
@@ -533,20 +572,24 @@ def enumerate_basis(
     return sorted(out, key=Monomial.sort_key)
 
 
-def growth_profile(g, n_max: int, max_basis: int = MAX_BASIS_DEFAULT) -> list[int]:
+def growth_profile(g, n_max: int) -> list[int]:
     """dim V_n for n = 0..n_max, where V_n is spanned by all products of at
     most n vertex/edge/ghost generators.
 
     Rewriting never lengthens a word, so dim V_n equals the number of normal
-    monomials with |p| + |q| <= n; it is counted here without materializing
-    the pairs.
+    monomials with |p| + |q| <= n.  They are counted from ``counts[v][l]``,
+    the number of paths of length l ending at v, without materializing any
+    path or pair: O(n * E + n^2 * V) integer operations.
     """
     if n_max < 0:
         raise NotSupportedError(f"the growth bound must be at least 0, not {n_max}")
     ctx = _as_context(g)
-    by_range = _paths_by_length(ctx, n_max, max_basis)
     g_ = ctx.graph
-    counts = {v: [len(lst) for lst in by_range[v]] for v in g_.vertices}
+    _require_finite_bundles(g_)
+    counts = {v: [1] + [0] * n_max for v in g_.vertices}
+    for l in range(n_max):
+        for e in g_.edges:
+            counts[e.dst][l + 1] += e.mult * counts[e.src][l]
     # special_in[v] = special edges with range v (at most one per source vertex)
     special_in: dict[str, list[str]] = {v: [] for v in g_.vertices}
     for w, addr in ctx.special.items():

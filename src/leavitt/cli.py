@@ -15,7 +15,6 @@ import sys
 
 from . import __version__
 from .algebra import (
-    MAX_BASIS_DEFAULT,
     AlgebraContext,
     PrimeField,
     RATIONALS,
@@ -168,7 +167,7 @@ def _cmd(args) -> None:
         ctx = AlgebraContext(g, _field(args.field))
         _emit({"terms": parse_expression(args.expr, ctx).to_obj()})
     elif cmd == "growth":
-        _emit(growth_profile(AlgebraContext(g), args.n, args.max_basis))
+        _emit(growth_profile(AlgebraContext(g), args.n))
     elif cmd == "act":
         ctx = AlgebraContext(g, _field(args.field))
         x = parse_expression(args.expr, ctx)
@@ -200,8 +199,16 @@ def _cmd(args) -> None:
         raise InputError(f"unknown command {cmd!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`InputError`, so they are reported as JSON
+    like every other input error; subparsers inherit this class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="leavitt",
         description="Graph-algebra analysis: verdicts, closures, derived graphs, "
         "symbolic evaluation, and module actions over a graph JSON document.",
@@ -213,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="graph JSON file, or - for stdin")
         p.add_argument("--max-cycles", type=int, default=MAX_CYCLES_DEFAULT)
         p.add_argument("--max-vertices-hs", type=int, default=MAX_VERTICES_HS_DEFAULT)
-        p.add_argument("--max-basis", type=int, default=MAX_BASIS_DEFAULT)
 
     common(sub.add_parser("validate", help="validate a graph document"))
     common(sub.add_parser("report", help="full analysis report"))
@@ -277,15 +283,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    if args.command == "act":
-        if args.module == "chen" and not args.stream:
-            _fail("the chen module needs --stream", 2)
-            return 2
-        if args.module == "sv" and not args.vertex:
-            _fail("the sv module needs --vertex", 2)
-            return 2
     try:
+        args = _parser().parse_args(argv)
+        if args.command == "act":
+            if args.module == "chen" and not args.stream:
+                raise InputError("the chen module needs --stream")
+            if args.module == "sv" and not args.vertex:
+                raise InputError("the sv module needs --vertex")
         _cmd(args)
         return 0
     except ResourceCapError as exc:

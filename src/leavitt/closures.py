@@ -14,9 +14,9 @@ from .graph import (
     Edge,
     Graph,
     Path,
+    _addresses,
     classify_vertex,
     is_regular,
-    make_path,
     path_range,
     vertices_on_closed_paths,
 )
@@ -230,15 +230,12 @@ def _relevant_vertices(g: Graph, h: frozenset[str], targets: frozenset[str]) -> 
     """Vertices outside ``h`` from which ``targets`` can be reached without
     passing through ``h`` on the way."""
     relevant = set(targets - h)
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            if e.src in h or e.src in relevant:
-                continue
-            if e.dst in targets or e.dst in relevant:
+    todo = list(targets)
+    while todo:
+        for e in g.in_bundles(todo.pop()):
+            if e.src not in h and e.src not in relevant:
                 relevant.add(e.src)
-                changed = True
+                todo.append(e.src)
     return frozenset(relevant)
 
 
@@ -275,30 +272,37 @@ def _enumerate_entering_paths(
     f1: list[Path] = []
     f2: list[Path] = []
 
-    def concrete(e: Edge) -> list[str]:
-        if e.mult is OMEGA:
-            return [f"{e.id}[0]"]
-        if e.mult == 1:
-            return [e.id]
-        return [f"{e.id}[{i}]" for i in range(e.mult)]
-
-    def extend(prefix: list[str], at: str, depth: int) -> None:
-        if not complete and depth >= depth_bound:
-            return
-        for e in g.out_bundles(at):
-            if e.dst not in targets and e.dst not in relevant:
-                continue
-            for addr in concrete(e):
-                chain = prefix + [addr]
-                if e.dst in h:
-                    f1.append(make_path(g, chain))
-                else:
-                    if e.dst in s:
-                        f2.append(make_path(g, chain))
-                    extend(chain, e.dst, depth + 1)
-
+    # moves[u] = the concrete steps from u that can still reach targets
+    moves = {
+        u: [
+            (addr, e.dst)
+            for e in g.out_bundles(u)
+            if e.dst in targets or e.dst in relevant
+            for addr in ([f"{e.id}[0]"] if e.mult is OMEGA else _addresses(e))
+        ]
+        for u in relevant
+    }
+    # depth-first with an explicit stack; chain is the path to the top frame,
+    # a valid chain by construction, so each found path is built directly
     for v in sorted(relevant):
-        extend([], v, 0)
+        chain: list[str] = []
+        work = [iter(moves[v])]
+        while work:
+            for addr, dst in work[-1]:
+                chain.append(addr)
+                if dst in h:
+                    f1.append(Path(v, tuple(chain)))
+                else:
+                    if dst in s:
+                        f2.append(Path(v, tuple(chain)))
+                    if complete or len(chain) < depth_bound:
+                        work.append(iter(moves[dst]))
+                        break
+                chain.pop()
+            else:
+                work.pop()
+                if work:
+                    chain.pop()
     return f1, f2
 
 
@@ -372,7 +376,7 @@ def subalgebra_graph(g: Graph, addresses: Iterable[str]) -> Graph:
             if e.mult is OMEGA:
                 emits_other.add(v)
                 break
-            if any(addr not in fset for addr in _bundle_addrs(e)):
+            if any(addr not in fset for addr in _addresses(e)):
                 emits_other.add(v)
                 break
     middle = sorted((rf & sf) & emits_other)
@@ -391,9 +395,3 @@ def subalgebra_graph(g: Graph, addresses: Iterable[str]) -> Graph:
             if g.dst_of(a) == start_vertex:
                 edges.append(Edge(_fresh(f"({a},{vid})", taken), vid_of_edge[a], vid))
     return Graph(list(vid_of_edge.values()) + list(vid_of_vertex.values()), edges)
-
-
-def _bundle_addrs(e: Edge) -> list[str]:
-    if e.mult == 1:
-        return [e.id]
-    return [f"{e.id}[{i}]" for i in range(e.mult)]

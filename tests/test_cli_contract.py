@@ -9,7 +9,7 @@ import pytest
 
 from leavitt import graph_to_json
 from leavitt.cli import main
-from leavitt.fixtures import g_loop, g_loop_chain, g_rose2
+from leavitt.fixtures import g_line, g_loop, g_loop_chain, g_rose2
 
 
 @pytest.fixture
@@ -65,4 +65,45 @@ def test_incomplete_ghstream_exits_2(write_graph, capsys):
         capsys, "act", write_graph(g_rose2()), "--module", "chen", "--stream", '{"kind":"ghstream"}',
         "--expr", "v",
     )
+    assert code == 2 and out is None and err["exit"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["growth", "GRAPH", "--n", "3", "--max-basis", "5"], ["gk"], ["growth", "GRAPH", "--n", "x"], []],
+)
+def test_usage_errors_are_json(write_graph, capsys, argv):
+    path = write_graph(g_loop())
+    code = main([path if a == "GRAPH" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+
+
+def test_version_and_help_still_exit_through_argparse(capsys):
+    for flag in ("--version", "--help"):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 0
+    capsys.readouterr()
+
+
+def test_rose2_growth_past_the_old_path_cap(write_graph, capsys):
+    code, out, err = run_cli(capsys, "growth", write_graph(g_rose2()), "--n", "19")
+    assert code == 0 and err is None
+    t = [1, 4] + [(k + 1) * 2**k - (k - 1) * 2 ** (k - 2) for k in range(2, 20)]
+    assert out == [sum(t[: k + 1]) for k in range(20)]
+
+
+def test_hedgehog_on_a_long_line_exits_0(write_graph, capsys):
+    code, out, _ = run_cli(capsys, "hedgehog", write_graph(g_line(1100)), "--h", "v1100")
+    assert code == 0 and out["complete"] is True and len(out["pathVertices"]) == 1099
+
+
+def test_large_prime_fields(write_graph, capsys):
+    loop = write_graph(g_loop())
+    code, out, _ = run_cli(capsys, "eval", loop, "--expr", "1000000000000000005 v", "--field", "1000000000000000003")
+    assert code == 0 and out["terms"][0]["coeff"] == "2"
+    code, out, err = run_cli(capsys, "eval", loop, "--expr", "v", "--field", str(10**25 + 13))
     assert code == 2 and out is None and err["exit"] == 2

@@ -252,3 +252,11 @@ def test_closure_cycles_stay_in_tree():
                 vs = {g.src_of(a) for a in c.edges}
                 if vs <= closure:
                     assert vs <= tree(g, v).vertices
+
+
+def test_hedgehog_on_a_long_line():
+    # one entering path per vertex, up to 1099 edges long: no recursion limit
+    res = hedgehog(g_line(1100), ["v1100"])
+    assert res.complete
+    assert len(res.path_vertices) == 1099
+    assert max(len(p) for _, p in res.path_vertices) == 1099
