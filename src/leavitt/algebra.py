@@ -590,10 +590,11 @@ def growth_profile(g, n_max: int) -> list[int]:
     for l in range(n_max):
         for e in g_.edges:
             counts[e.dst][l + 1] += e.mult * counts[e.src][l]
-    # special_in[v] = special edges with range v (at most one per source vertex)
-    special_in: dict[str, list[str]] = {v: [] for v in g_.vertices}
-    for w, addr in ctx.special.items():
-        special_in[g_.dst_of(addr)].append(addr)
+    # special_in[v] = the path counts at the sources of the special edges
+    # with range v (at most one special edge per source vertex)
+    special_in: dict[str, list[list[int]]] = {v: [] for v in g_.vertices}
+    for addr in ctx.special.values():
+        special_in[g_.dst_of(addr)].append(counts[g_.src_of(addr)])
 
     per_total = [0] * (n_max + 1)
     for v in g_.vertices:
@@ -602,9 +603,8 @@ def growth_profile(g, n_max: int) -> list[int]:
             for b in range(n_max + 1 - a):
                 pairs = cv[a] * cv[b]
                 if a >= 1 and b >= 1:
-                    for addr in special_in[v]:
-                        w = g_.src_of(addr)
-                        pairs -= counts[w][a - 1] * counts[w][b - 1]
+                    for cw in special_in[v]:
+                        pairs -= cw[a - 1] * cw[b - 1]
                 per_total[a + b] += pairs
     dims = []
     acc = 0

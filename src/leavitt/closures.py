@@ -16,6 +16,7 @@ from .graph import (
     Path,
     _addresses,
     classify_vertex,
+    condensation,
     is_regular,
     path_range,
     vertices_on_closed_paths,
@@ -126,18 +127,42 @@ def is_saturated(g: Graph, vs: Iterable[str]) -> bool:
 def enumerate_hs_sets(g: Graph, max_vertices: int = MAX_VERTICES_HS_DEFAULT) -> list[HSSet]:
     """All hereditary saturated subsets (including the empty and full sets).
 
-    Brute force over all subsets; exact for desk-scale graphs.
+    A hereditary set is a union of strongly connected components (SCCs)
+    closed under successors, so the sets are found by deciding each SCC of
+    the condensation in reverse topological order, after every SCC it
+    reaches.  An SCC with a successor outside the set stays out (heredity);
+    otherwise a single regular vertex with no inner edge comes in
+    (saturation); any other SCC (a sink, an infinite emitter, or a cyclic
+    SCC, whose vertices all keep an edge inside it) is a free choice.
+    Every branch ends in exactly one set, so the cost is O(V + E) per set.
+    ``max_vertices`` caps the graph size and so the up to 2^V sets returned.
     """
     vs = g.vertices
     if len(vs) > max_vertices:
         raise ResourceCapError(
             f"{len(vs)} vertices exceeds the subset-enumeration cap {max_vertices}"
         )
+    scc = condensation(g)
+    n = len(scc.members)
+    forced_in = [
+        len(m) == 1 and scc.inner_edges[i] == 0 and is_regular(g, m[0])
+        for i, m in enumerate(scc.members)
+    ]
+    inside = [False] * n
+    free: list[int] = []  # free SCCs taken in, whose "out" branch is still to come
     out = []
-    for mask in range(1 << len(vs)):
-        subset = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-        if is_hereditary(g, subset) and is_saturated(g, subset):
-            out.append(HSSet(subset, subset))
+    start = n  # decide the SCCs below start; those at or above it stay
+    while True:
+        for i in range(start - 1, -1, -1):
+            inside[i] = all(inside[j] for j in scc.successors[i])
+            if inside[i] and not forced_in[i]:
+                free.append(i)
+        h = frozenset(v for i in range(n) if inside[i] for v in scc.members[i])
+        out.append(HSSet(h, h))
+        if not free:
+            break
+        start = free.pop()
+        inside[start] = False
     return sorted(out, key=HSSet.sort_key)
 
 

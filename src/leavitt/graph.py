@@ -510,10 +510,12 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
             if len(found) > max_cycles:
                 raise ResourceCapError(f"more than {max_cycles} simple cycles")
 
-    # depth-first from each root through higher-ordered vertices only, so
-    # each vertex itinerary is found once, from its least vertex
+    # depth-first from each root through higher-ordered vertices of its own
+    # SCC only (a cycle through root never leaves it), so each vertex
+    # itinerary is found once, from its least vertex
+    component = condensation(g).component
     for root in g.vertices:
-        rank = order[root]
+        rank, home = order[root], component[root]
         visited = {root}
         steps: list[tuple[str, str]] = []  # the current path, one step per frame below root
         work = [(root, iter(g._succ[root]))]
@@ -524,7 +526,7 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
                     steps.append((v, w))
                     expand(steps)
                     steps.pop()
-                elif order[w] > rank and w not in visited:
+                elif order[w] > rank and component[w] == home and w not in visited:
                     visited.add(w)
                     steps.append((v, w))
                     work.append((w, iter(g._succ[w])))

@@ -4,6 +4,7 @@ the witness rule for graphs whose cycle pre-order is not antisymmetric."""
 from __future__ import annotations
 
 import json
+import time
 
 from leavitt import (
     Edge,
@@ -38,6 +39,17 @@ def test_cli_gk_and_report_on_a_long_ring(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert len(report["cyclePoset"]["cycles"]) == 1
     assert report["fp"]["reasons"][0]["code"] == "OK_CYCLIC"
+
+
+def test_enumerate_cycles_stays_in_the_root_scc():
+    # the only cycle lies in the loop's SCC, so no walk may run down the line
+    n = 3000
+    verts = [f"v{i}" for i in range(n + 1)]
+    edges = [Edge(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n)] + [Edge("c", f"v{n}", f"v{n}")]
+    start = time.perf_counter()
+    cycles = enumerate_cycles(Graph(verts, edges))
+    assert time.perf_counter() - start < 1.0
+    assert [c.edges for c in cycles] == [("c",)]
 
 
 def test_fp_on_a_long_loop_chain_with_a_sink():
