@@ -13,6 +13,7 @@ maps are equal.  No reduction is ever applied at sinks or infinite emitters.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,15 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
+
+    def integral(self, values: Iterable[Fraction]) -> tuple[list[int], int]:
+        """Integers n_i and one denominator d (the lcm) with value_i = n_i / d."""
+        values = list(values)
+        d = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
+
+    def from_integral(self, n: int, d: int) -> Fraction:
+        return Fraction(n, d)
 
     def format(self, a) -> str:
         return str(a)
@@ -149,6 +159,14 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
+    def integral(self, values: Iterable[int]) -> tuple[list[int], int]:
+        """The scalars themselves, over the denominator 1."""
+        return list(values), 1
+
+    def from_integral(self, n: int, d: int) -> int:
+        # d is a product of denominators from ``integral``, so it is 1
+        return n % self.p
+
     def format(self, a) -> str:
         return str(a % self.p)
 
@@ -198,14 +216,6 @@ class Monomial:
         return ".".join(parts)
 
 
-def _drop_last(p: Path, source: str) -> Path:
-    return Path(p.base if len(p.edges) > 1 else source, p.edges[:-1])
-
-
-def _extend(p: Path, addr: str) -> Path:
-    return Path(p.base, p.edges + (addr,))
-
-
 # ---------------------------------------------------------------------------
 # Algebra context and elements
 # ---------------------------------------------------------------------------
@@ -242,6 +252,19 @@ class AlgebraContext:
                     raise NotSupportedError(f"{addr!r} does not leave {v!r}")
                 special[v] = addr
         self.special = special
+        # each special edge leaves its vertex (checked above), so a path
+        # step is reducible exactly when its address is a key here
+        self._special_src = {a: v for v, a in special.items()}
+        self._sibling_cache: dict[str, tuple[str, ...]] = {}
+
+    def _siblings(self, v: str) -> tuple[str, ...]:
+        """The concrete out-edges of the regular vertex ``v`` other than its
+        special edge, listed on first use only."""
+        sib = self._sibling_cache.get(v)
+        if sib is None:
+            addr = self.special[v]
+            sib = self._sibling_cache[v] = tuple(f for f in self.graph.concrete_out(v) if f != addr)
+        return sib
 
     def __eq__(self, other):
         return (
@@ -278,9 +301,7 @@ class AlgebraContext:
         """The element p q* (normalized); p and q must share their range."""
         if path_range(self.graph, p) != path_range(self.graph, q):
             raise NotSupportedError("p and q must have a common range")
-        terms: dict[Monomial, object] = {}
-        _normalize(self, p, q, self.field.coerce(coeff), terms)
-        return AlgebraElement(self, _strip_zeros(self, terms))
+        return normalize_monomial(self, p, q, coeff)
 
     def path_element(self, edges: Iterable[str], base: str | None = None) -> "AlgebraElement":
         p = make_path(self.graph, list(edges), base)
@@ -297,43 +318,105 @@ def _strip_zeros(ctx: AlgebraContext, terms: dict) -> dict:
     return {m: c for m, c in terms.items() if c != zero}
 
 
-def _normalize(ctx: AlgebraContext, p: Path, q: Path, coeff, out: dict, rng: random.Random | None = None) -> None:
-    """Accumulate the normal form of coeff * p q* into ``out``.
+# The product kernel works on flat term keys (p.base, p.edges, q.base,
+# q.edges) with integer coefficients over one common denominator (see the
+# fields' ``integral``), and builds Path, Monomial and scalar objects only
+# once per nonzero output term.
 
-    The reducible branch loses two edges per step, and every sibling branch is
+
+def _rewrite(ctx: AlgebraContext, work: list, acc: dict, rng: random.Random | None = None) -> None:
+    """Add the normal form of each (p.base, p.edges, q.base, q.edges, n) in
+    ``work`` to ``acc``, a map from flat keys to integer coefficients.
+
+    A term whose paths both end in the special edge of its source w becomes
+    the term with that edge dropped minus the sibling terms (p f)(q f)*.  The
+    reducible branch loses two edges per step, and every sibling branch is
     already normal at its junction, so the work list shrinks steadily.  With
-    ``rng`` the processing order is randomized; the accumulated term map does
-    not depend on it.
+    ``rng`` the processing order is randomized; ``acc`` does not depend on it.
     """
-    field = ctx.field
-    work = [(p, q, coeff)]
+    special = ctx._special_src
     while work:
-        if rng is None:
-            p, q, c = work.pop()
+        pb, pe, qb, qe, c = work.pop() if rng is None else work.pop(rng.randrange(len(work)))
+        if pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
+            w = special[pe[-1]]
+            # a path is based at the source of its first edge, so the bases
+            # stay put even when the dropped edge was the only one
+            pe, qe = pe[:-1], qe[:-1]
+            work.append((pb, pe, qb, qe, c))
+            for f in ctx._siblings(w):
+                work.append((pb, pe + (f,), qb, qe + (f,), -c))
+            continue
+        key = (pb, pe, qb, qe)
+        acc[key] = acc.get(key, 0) + c
+
+
+def _terms(ctx: AlgebraContext, acc: dict, d: int) -> dict[Monomial, object]:
+    """The term map of ``acc``, whose integer coefficients are over ``d``."""
+    from_integral = ctx.field.from_integral
+    out = {}
+    for (pb, pe, qb, qe), n in acc.items():
+        if n:
+            c = from_integral(n, d)
+            if c:
+                out[Monomial(Path(pb, pe), Path(qb, qe))] = c
+    return out
+
+
+def _product(ctx: AlgebraContext, left: Mapping[Monomial, object], right: Mapping[Monomial, object]) -> dict[Monomial, object]:
+    """The normal form of the product of two term maps.
+
+    (p1 q1*)(p2 q2*) is nonzero only when q1 and p2 start at the same vertex
+    and one is a prefix of the other (e* e = r(e), e* f = 0 for e != f).  The
+    right terms are indexed by the base and first edge of p2 (None for a
+    vertex), so each left term meets only the right terms it can contract with.
+    """
+    lc, ld = ctx.field.integral(left.values())
+    rc, rd = ctx.field.integral(right.values())
+    by_base: dict[str, list] = {}
+    by_head: dict[tuple, list] = {}
+    for m, c in zip(right, rc):
+        p, q = m.p, m.q
+        entry = (p.edges, q.base, q.edges, c)
+        by_base.setdefault(p.base, []).append(entry)
+        by_head.setdefault((p.base, p.edges[0] if p.edges else None), []).append(entry)
+    special = ctx._special_src
+    acc: dict[tuple, int] = {}
+    work = []
+    for m, c1 in zip(left, lc):
+        pb, pe, qb, qe = m.p.base, m.p.edges, m.q.base, m.q.edges
+        la = len(qe)
+        if la:
+            matches = by_head.get((qb, None), []) + by_head.get((qb, qe[0]), [])
         else:
-            p, q, c = work.pop(rng.randrange(len(work)))
-        if p.edges and q.edges and p.edges[-1] == q.edges[-1]:
-            addr = p.edges[-1]
-            w = ctx.graph.src_of(addr)
-            if ctx.special.get(w) == addr:
-                p2, q2 = _drop_last(p, w), _drop_last(q, w)
-                work.append((p2, q2, c))
-                nc = field.neg(c)
-                for f in ctx.graph.concrete_out(w):
-                    if f != addr:
-                        work.append((_extend(p2, f), _extend(q2, f), nc))
-                continue
-        m = Monomial(p, q)
-        out[m] = field.add(out.get(m, field.zero), c)
+            matches = by_base.get(qb, ())
+        for e2, b2, f2, c2 in matches:
+            lb = len(e2)
+            if la <= lb:
+                if e2[:la] != qe:
+                    continue
+                p2, q2 = pe + e2[la:], f2
+            else:
+                if qe[:lb] != e2:
+                    continue
+                p2, q2 = pe, f2 + qe[lb:]
+            # only the few terms that end in a special pair need the work list
+            if p2 and q2 and p2[-1] == q2[-1] and p2[-1] in special:
+                work.append((pb, p2, b2, q2, c1 * c2))
+            else:
+                key = (pb, p2, b2, q2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    _rewrite(ctx, work, acc)
+    return _terms(ctx, acc, ld * rd)
 
 
 def normalize_monomial(
     ctx: AlgebraContext, p: Path, q: Path, coeff=1, rng: random.Random | None = None
 ) -> "AlgebraElement":
     """Normal form of coeff * p q*, optionally with a randomized rewrite order."""
-    terms: dict[Monomial, object] = {}
-    _normalize(ctx, p, q, ctx.field.coerce(coeff), terms, rng)
-    return AlgebraElement(ctx, _strip_zeros(ctx, terms))
+    (n,), d = ctx.field.integral([ctx.field.coerce(coeff)])
+    acc: dict[tuple, int] = {}
+    _rewrite(ctx, [(p.base, p.edges, q.base, q.edges, n)], acc, rng)
+    return AlgebraElement(ctx, _terms(ctx, acc, d))
 
 
 class AlgebraElement:
@@ -408,16 +491,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._check(other)
-        ctx = self.ctx
-        field = ctx.field
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                contracted = _contract(ctx, m1, m2)
-                if contracted is None:
-                    continue
-                _normalize(ctx, contracted[0], contracted[1], field.mul(c1, c2), out)
-        return AlgebraElement(ctx, _strip_zeros(ctx, out))
+        return AlgebraElement(self.ctx, _product(self.ctx, self.terms, other.terms))
 
     # -- grading & serialization -------------------------------------------------
 
@@ -461,22 +535,6 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
     return total
 
 
-def _contract(ctx: AlgebraContext, m1: Monomial, m2: Monomial):
-    """CK-1 contraction of (p1 q1*)(p2 q2*) into a single monomial, or None."""
-    a, b = m1.q, m2.p
-    if a.base != b.base:
-        return None
-    la, lb = len(a.edges), len(b.edges)
-    n = min(la, lb)
-    if a.edges[:n] != b.edges[:n]:
-        return None
-    if la <= lb:
-        rest = b.edges[la:]
-        return Path(m1.p.base, m1.p.edges + rest), m2.q
-    rest = a.edges[lb:]
-    return m1.p, Path(m2.q.base, m2.q.edges + rest)
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b
 
@@ -503,8 +561,7 @@ def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
         return True
     if m.p.edges[-1] != m.q.edges[-1]:
         return True
-    addr = m.p.edges[-1]
-    return ctx.special.get(ctx.graph.src_of(addr)) != addr
+    return m.p.edges[-1] not in ctx._special_src
 
 
 def _require_finite_bundles(g: Graph) -> None:

@@ -87,6 +87,13 @@ class Graph:
         for e in es:
             if e.src not in vset or e.dst not in vset:
                 raise SchemaError(f"edge {e.id!r} has undeclared endpoint")
+        by_id = {e.id: e for e in es}
+        # every concrete edge has one address: no edge id may also be the
+        # address of an edge of another bundle
+        for eid in ids:
+            m = _ADDRESS_RE.match(eid) if "]" in eid else None
+            if m and m.group(1) in by_id and _indexes(by_id[m.group(1)], m.group(2)):
+                raise SchemaError(f"edge id {eid!r} is the address of an edge of bundle {m.group(1)!r}")
         self.vertices = vs
         self.edges = es
         out: dict[str, list[Edge]] = {v: [] for v in vs}
@@ -96,7 +103,7 @@ class Graph:
             inc[e.dst].append(e)
         self._out = {v: tuple(bs) for v, bs in out.items()}
         self._in = {v: tuple(bs) for v, bs in inc.items()}
-        self._by_id = {e.id: e for e in es}
+        self._by_id = by_id
         self._succ = {v: tuple(sorted({e.dst for e in bs})) for v, bs in out.items()}
         self._pred = {v: tuple(sorted({e.src for e in bs})) for v, bs in inc.items()}
 
@@ -160,7 +167,9 @@ class Graph:
         """Resolve a concrete edge address (``e`` or ``b[i]``) to its bundle.
 
         A declared id always wins over the indexed interpretation, so ids
-        containing brackets stay addressable.
+        containing brackets stay addressable; no declared id is the address
+        of another bundle's edge (see ``Graph``).  The index is written
+        without leading zeros, so each concrete edge has exactly one address.
         """
         e = self._by_id.get(address)
         if e is not None:
@@ -170,13 +179,12 @@ class Graph:
         m = _ADDRESS_RE.match(address)
         if m:
             e = self.bundle(m.group(1))
-            idx = int(m.group(2))
-            if e.mult is OMEGA:
-                return e
             if e.mult == 1:
                 raise UnknownEdgeError(f"{address!r}: edge {e.id!r} is not a bundle")
-            if idx >= e.mult:
-                raise UnknownEdgeError(f"{address!r}: index out of range (mult {e.mult})")
+            if not _indexes(e, m.group(2)):
+                raise UnknownEdgeError(
+                    f"{address!r}: not an index of bundle {e.id!r} (mult {e.mult}) in decimal digits without leading zeros"
+                )
             return e
         raise UnknownEdgeError(f"unknown edge address {address!r}")
 
@@ -207,6 +215,14 @@ class Graph:
             seen.add(v)
             todo.extend(w for w in self._succ[v] if w not in seen)
         return frozenset(seen)
+
+
+def _indexes(e: Edge, index: str) -> bool:
+    """Whether ``e.id[index]`` is the address of an edge of the bundle ``e``:
+    ASCII digits, no leading zero, below the multiplicity."""
+    if e.mult == 1 or not index.isascii() or (index.startswith("0") and index != "0"):
+        return False
+    return e.mult is OMEGA or (len(index) <= len(str(e.mult)) and int(index) < e.mult)
 
 
 def _addresses(e: Edge) -> list[str]:
@@ -516,6 +532,10 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
     component = condensation(g).component
     for root in g.vertices:
         rank, home = order[root], component[root]
+        # the walk closes only along an edge into root from root itself or
+        # from a higher-ordered vertex of its SCC
+        if not any(order[u] >= rank and component[u] == home for u in g._pred[root]):
+            continue
         visited = {root}
         steps: list[tuple[str, str]] = []  # the current path, one step per frame below root
         work = [(root, iter(g._succ[root]))]

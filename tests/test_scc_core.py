@@ -82,3 +82,11 @@ def test_witness_closes_the_first_two_inner_edges_of_the_least_vertex():
     assert decide_fp(g).reasons[0]["witness"] == [["g"], ["h"]]
     g = Graph(["x", "y"], [Edge("b", "x", "y", 3), Edge("f", "y", "x")])
     assert decide_gk(g).witness == [["b[0]", "f"], ["b[1]", "f"]]
+
+
+def test_enumerate_cycles_skips_roots_no_walk_can_return_to():
+    # on a ring only the roots entered from a higher-ordered vertex can close
+    start = time.perf_counter()
+    (c,) = enumerate_cycles(ring(3000))
+    assert time.perf_counter() - start < 1.0
+    assert len(c) == 3000 and c.edges[0] == "e0"
