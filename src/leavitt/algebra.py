@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import ContextMismatchError, NotSupportedError, ResourceCapError
@@ -72,8 +73,26 @@ class Rationals:
         d = math.lcm(*(v.denominator for v in values))
         return [v.numerator * (d // v.denominator) for v in values], d
 
+    def reduce(self, acc: dict, d: int) -> tuple[dict, int]:
+        """The canonical form of the values n / d for n in ``acc``: zeros
+        dropped, and the numerators and ``d`` divided by their gcd, so that
+        ``d`` is the lcm of the reduced denominators (1 for no values)."""
+        flat = {k: n for k, n in acc.items() if n}
+        if d == 1 or not flat:
+            return flat, 1
+        g = math.gcd(d, *flat.values())
+        if g > 1:
+            flat = {k: n // g for k, n in flat.items()}
+            d //= g
+        return flat, d
+
     def from_integral(self, n: int, d: int) -> Fraction:
         return Fraction(n, d)
+
+    def format_integral(self, n: int, d: int) -> str:
+        """``format(from_integral(n, d))`` without building the Fraction."""
+        g = math.gcd(n, d)
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
 
     def format(self, a) -> str:
         return str(a)
@@ -163,9 +182,24 @@ class PrimeField:
         """The scalars themselves, over the denominator 1."""
         return list(values), 1
 
+    def reduce(self, acc: dict, d: int) -> tuple[dict, int]:
+        """The values of ``acc`` reduced mod p, without zeros, over 1.
+
+        ``d`` is a product of denominators from ``integral``, so it is 1.
+        """
+        p = self.p
+        flat = {}
+        for k, n in acc.items():
+            n %= p
+            if n:
+                flat[k] = n
+        return flat, 1
+
     def from_integral(self, n: int, d: int) -> int:
-        # d is a product of denominators from ``integral``, so it is 1
         return n % self.p
+
+    def format_integral(self, n: int, d: int) -> str:
+        return str(n % self.p)
 
     def format(self, a) -> str:
         return str(a % self.p)
@@ -280,48 +314,42 @@ class AlgebraContext:
     # -- element factories --------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return AlgebraElement._make(self, {}, 1)
 
     def vertex(self, v: str) -> "AlgebraElement":
         self.graph.require_vertex(v)
-        p = Path(v)
-        return AlgebraElement(self, {Monomial(p, p): self.field.one})
+        return AlgebraElement._make(self, {(v, (), v, ()): 1}, 1)
 
     def edge(self, address: str) -> "AlgebraElement":
         e = self.graph.resolve(address)
-        m = Monomial(Path(e.src, (address,)), Path(e.dst))
-        return AlgebraElement(self, {m: self.field.one})
+        return AlgebraElement._make(self, {(e.src, (address,), e.dst, ()): 1}, 1)
 
     def ghost(self, address: str) -> "AlgebraElement":
         e = self.graph.resolve(address)
-        m = Monomial(Path(e.dst), Path(e.src, (address,)))
-        return AlgebraElement(self, {m: self.field.one})
+        return AlgebraElement._make(self, {(e.dst, (), e.src, (address,)): 1}, 1)
 
     def monomial(self, p: Path, q: Path, coeff=1) -> "AlgebraElement":
         """The element p q* (normalized); p and q must share their range."""
-        if path_range(self.graph, p) != path_range(self.graph, q):
-            raise NotSupportedError("p and q must have a common range")
+        self._require_common_range(p, q)
         return normalize_monomial(self, p, q, coeff)
 
     def path_element(self, edges: Iterable[str], base: str | None = None) -> "AlgebraElement":
         p = make_path(self.graph, list(edges), base)
-        return AlgebraElement(
-            self, {Monomial(p, Path(path_range(self.graph, p))): self.field.one}
-        )
+        return AlgebraElement._make(self, {(p.base, p.edges, path_range(self.graph, p), ()): 1}, 1)
 
     def scalar(self, value) -> object:
         return self.field.coerce(value)
 
+    def _require_common_range(self, p: Path, q: Path) -> None:
+        if path_range(self.graph, p) != path_range(self.graph, q):
+            raise NotSupportedError("p and q must have a common range")
 
-def _strip_zeros(ctx: AlgebraContext, terms: dict) -> dict:
-    zero = ctx.field.zero
-    return {m: c for m, c in terms.items() if c != zero}
 
-
-# The product kernel works on flat term keys (p.base, p.edges, q.base,
-# q.edges) with integer coefficients over one common denominator (see the
-# fields' ``integral``), and builds Path, Monomial and scalar objects only
-# once per nonzero output term.
+# An element's state is a flat term map {(p.base, p.edges, q.base, q.edges):
+# n} with integer numerators over one denominator d, in the canonical form of
+# the field's ``reduce``.  Products, sums and serialization work on it
+# directly; Path, Monomial and scalar objects are built only when ``terms``
+# is read.
 
 
 def _rewrite(ctx: AlgebraContext, work: list, acc: dict, rng: random.Random | None = None) -> None:
@@ -350,40 +378,25 @@ def _rewrite(ctx: AlgebraContext, work: list, acc: dict, rng: random.Random | No
         acc[key] = acc.get(key, 0) + c
 
 
-def _terms(ctx: AlgebraContext, acc: dict, d: int) -> dict[Monomial, object]:
-    """The term map of ``acc``, whose integer coefficients are over ``d``."""
-    from_integral = ctx.field.from_integral
-    out = {}
-    for (pb, pe, qb, qe), n in acc.items():
-        if n:
-            c = from_integral(n, d)
-            if c:
-                out[Monomial(Path(pb, pe), Path(qb, qe))] = c
-    return out
-
-
-def _product(ctx: AlgebraContext, left: Mapping[Monomial, object], right: Mapping[Monomial, object]) -> dict[Monomial, object]:
-    """The normal form of the product of two term maps.
+def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
+    """The normal form of the product of two flat term maps, with integer
+    coefficients over the product of the two denominators.
 
     (p1 q1*)(p2 q2*) is nonzero only when q1 and p2 start at the same vertex
     and one is a prefix of the other (e* e = r(e), e* f = 0 for e != f).  The
     right terms are indexed by the base and first edge of p2 (None for a
     vertex), so each left term meets only the right terms it can contract with.
     """
-    lc, ld = ctx.field.integral(left.values())
-    rc, rd = ctx.field.integral(right.values())
     by_base: dict[str, list] = {}
     by_head: dict[tuple, list] = {}
-    for m, c in zip(right, rc):
-        p, q = m.p, m.q
-        entry = (p.edges, q.base, q.edges, c)
-        by_base.setdefault(p.base, []).append(entry)
-        by_head.setdefault((p.base, p.edges[0] if p.edges else None), []).append(entry)
+    for (pb, pe, qb, qe), c in right.items():
+        entry = (pe, qb, qe, c)
+        by_base.setdefault(pb, []).append(entry)
+        by_head.setdefault((pb, pe[0] if pe else None), []).append(entry)
     special = ctx._special_src
     acc: dict[tuple, int] = {}
     work = []
-    for m, c1 in zip(left, lc):
-        pb, pe, qb, qe = m.p.base, m.p.edges, m.q.base, m.q.edges
+    for (pb, pe, qb, qe), c1 in left.items():
         la = len(qe)
         if la:
             matches = by_head.get((qb, None), []) + by_head.get((qb, qe[0]), [])
@@ -406,7 +419,7 @@ def _product(ctx: AlgebraContext, left: Mapping[Monomial, object], right: Mappin
                 key = (pb, p2, b2, q2)
                 acc[key] = acc.get(key, 0) + c1 * c2
     _rewrite(ctx, work, acc)
-    return _terms(ctx, acc, ld * rd)
+    return acc
 
 
 def normalize_monomial(
@@ -416,34 +429,67 @@ def normalize_monomial(
     (n,), d = ctx.field.integral([ctx.field.coerce(coeff)])
     acc: dict[tuple, int] = {}
     _rewrite(ctx, [(p.base, p.edges, q.base, q.edges, n)], acc, rng)
-    return AlgebraElement(ctx, _terms(ctx, acc, d))
+    return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
 
 
 class AlgebraElement:
-    """A canonical finite linear combination of normal monomials."""
+    """A canonical finite linear combination of normal monomials.
 
-    __slots__ = ("ctx", "terms")
+    The state is the flat term map ``_flat`` with integer numerators over
+    the positive denominator ``_den``, in the field's canonical form, so two
+    elements are equal exactly when their contexts, ``_den`` and ``_flat``
+    are.  ``terms`` is the same map keyed by :class:`Monomial`, built on
+    first read.
+    """
+
+    __slots__ = ("ctx", "_flat", "_den", "_cached_terms")
 
     def __init__(self, ctx: AlgebraContext, terms: Mapping[Monomial, object]):
+        """The element with the given terms, stored as given (normal or not)."""
+        field = ctx.field
+        nums, d = field.integral(field.coerce(c) for c in terms.values())
+        acc = {(m.p.base, m.p.edges, m.q.base, m.q.edges): n for m, n in zip(terms, nums)}
         self.ctx = ctx
-        self.terms = dict(terms)
+        self._flat, self._den = field.reduce(acc, d)
+        self._cached_terms = None
+
+    @classmethod
+    def _make(cls, ctx: AlgebraContext, flat: dict, den: int) -> "AlgebraElement":
+        """The element with an already canonical state."""
+        self = cls.__new__(cls)
+        self.ctx = ctx
+        self._flat = flat
+        self._den = den
+        self._cached_terms = None
+        return self
+
+    @property
+    def terms(self) -> Mapping[Monomial, object]:
+        """The read-only map from each monomial to its nonzero scalar."""
+        if self._cached_terms is None:
+            from_integral = self.ctx.field.from_integral
+            d = self._den
+            self._cached_terms = MappingProxyType(
+                {Monomial(Path(pb, pe), Path(qb, qe)): from_integral(n, d) for (pb, pe, qb, qe), n in self._flat.items()}
+            )
+        return self._cached_terms
 
     # -- structure ------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._flat
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self._den == other._den and self._flat == other._flat
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._flat)
 
     def __str__(self):
-        if not self.terms:
+        if not self._flat:
             return "0"
         bits = []
         one = self.ctx.field.one
@@ -464,25 +510,25 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        field = self.ctx.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = field.add(terms.get(m, field.zero), c)
-        return AlgebraElement(self.ctx, _strip_zeros(self.ctx, terms))
+        d = math.lcm(self._den, other._den)
+        acc = {k: n * (d // self._den) for k, n in self._flat.items()}
+        s = d // other._den
+        for k, n in other._flat.items():
+            acc[k] = acc.get(k, 0) + n * s
+        return AlgebraElement._make(self.ctx, *self.ctx.field.reduce(acc, d))
 
     def __neg__(self) -> "AlgebraElement":
-        field = self.ctx.field
-        return AlgebraElement(self.ctx, {m: field.neg(c) for m, c in self.terms.items()})
+        acc = {k: -n for k, n in self._flat.items()}
+        return AlgebraElement._make(self.ctx, *self.ctx.field.reduce(acc, self._den))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, value) -> "AlgebraElement":
         field = self.ctx.field
-        s = field.coerce(value)
-        if s == field.zero:
-            return self.ctx.zero()
-        return AlgebraElement(self.ctx, {m: field.mul(s, c) for m, c in self.terms.items()})
+        (s,), sd = field.integral([field.coerce(value)])
+        acc = {k: n * s for k, n in self._flat.items()}
+        return AlgebraElement._make(self.ctx, *field.reduce(acc, self._den * sd))
 
     def __rmul__(self, value) -> "AlgebraElement":
         return self.scale(value)
@@ -491,48 +537,64 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._check(other)
-        return AlgebraElement(self.ctx, _product(self.ctx, self.terms, other.terms))
+        acc = _product(self.ctx, self._flat, other._flat)
+        return AlgebraElement._make(self.ctx, *self.ctx.field.reduce(acc, self._den * other._den))
 
     # -- grading & serialization -------------------------------------------------
 
     def degree_components(self) -> dict[int, "AlgebraElement"]:
         """Partition of the terms by monomial degree |p| - |q|."""
-        buckets: dict[int, dict[Monomial, object]] = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(m.degree, {})[m] = c
-        return {d: AlgebraElement(self.ctx, t) for d, t in sorted(buckets.items())}
+        buckets: dict[int, dict] = {}
+        for k, n in self._flat.items():
+            buckets.setdefault(len(k[1]) - len(k[3]), {})[k] = n
+        reduce = self.ctx.field.reduce
+        return {
+            deg: AlgebraElement._make(self.ctx, *reduce(flat, self._den))
+            for deg, flat in sorted(buckets.items())
+        }
 
     def to_obj(self) -> list[dict]:
         out = []
-        for m in sorted(self.terms, key=Monomial.sort_key):
-            item = {
-                "p": list(m.p.edges),
-                "q": list(m.q.edges),
-                "coeff": self.ctx.field.format(self.terms[m]),
-            }
-            if not m.p.edges and not m.q.edges:
-                item["v"] = m.p.base
+        fmt = self.ctx.field.format_integral
+        d = self._den
+        # the order of Monomial.sort_key: degree, p.edges, p.base, q.edges, q.base
+        for pb, pe, qb, qe in sorted(self._flat, key=lambda k: (len(k[1]) - len(k[3]), k[1], k[0], k[3], k[2])):
+            item = {"p": list(pe), "q": list(qe), "coeff": fmt(self._flat[(pb, pe, qb, qe)], d)}
+            if not pe and not qe:
+                item["v"] = pb
             out.append(item)
         return out
 
 
 def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
-    """Rebuild an element from its serialized term list."""
-    total = ctx.zero()
+    """Rebuild an element from its serialized term list.
+
+    Each item is validated on its own; then all of them are rewritten
+    together over one common denominator and reduced once.
+    """
+    g = ctx.graph
+    pairs = []
+    coeffs = []
     for item in obj:
         p_edges, q_edges = item["p"], item["q"]
         if not p_edges and not q_edges:
-            p = Path(ctx.graph.require_vertex(item["v"]))
+            p = Path(g.require_vertex(item["v"]))
             q = p
         else:
-            p = make_path(ctx.graph, p_edges) if p_edges else None
-            q = make_path(ctx.graph, q_edges) if q_edges else None
+            p = make_path(g, p_edges) if p_edges else None
+            q = make_path(g, q_edges) if q_edges else None
             if p is None:
-                p = Path(path_range(ctx.graph, q))
+                p = Path(path_range(g, q))
             if q is None:
-                q = Path(path_range(ctx.graph, p))
-        total = total + ctx.monomial(p, q, ctx.field.coerce(item["coeff"]))
-    return total
+                q = Path(path_range(g, p))
+        ctx._require_common_range(p, q)
+        pairs.append((p, q))
+        coeffs.append(ctx.field.coerce(item["coeff"]))
+    nums, d = ctx.field.integral(coeffs)
+    work = [(p.base, p.edges, q.base, q.edges, n) for (p, q), n in zip(pairs, nums)]
+    acc: dict[tuple, int] = {}
+    _rewrite(ctx, work, acc)
+    return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -14,6 +14,7 @@ from .graph import (
     Edge,
     Graph,
     Path,
+    _addressed_bundle,
     _addresses,
     classify_vertex,
     condensation,
@@ -363,11 +364,16 @@ def hedgehog(
         if e.src in hset or (e.src in sset and e.dst in hset):
             edges.append(e)
 
-    taken = set(base_vertices) | {e.id for e in edges}
+    kept = {e.id: e for e in edges}
+    taken = set(base_vertices) | set(kept)
     vertices = list(base_vertices)
     mapping: list[tuple[str, Path]] = []
     for p in sorted(set(f1 + f2), key=Path.sort_key):
-        vid = _fresh("~".join(p.edges), taken)
+        name = "~".join(p.edges)
+        # a vertex may not be named like an edge of a kept bundle (see Graph)
+        if _addressed_bundle(name, kept) is not None:
+            name += "'"
+        vid = _fresh(name, taken)
         vertices.append(vid)
         mapping.append((vid, p))
         edges.append(Edge(_fresh("~" + vid, taken), vid, path_range(g, p)))

@@ -88,12 +88,13 @@ class Graph:
             if e.src not in vset or e.dst not in vset:
                 raise SchemaError(f"edge {e.id!r} has undeclared endpoint")
         by_id = {e.id: e for e in es}
-        # every concrete edge has one address: no edge id may also be the
-        # address of an edge of another bundle
-        for eid in ids:
-            m = _ADDRESS_RE.match(eid) if "]" in eid else None
-            if m and m.group(1) in by_id and _indexes(by_id[m.group(1)], m.group(2)):
-                raise SchemaError(f"edge id {eid!r} is the address of an edge of bundle {m.group(1)!r}")
+        # every concrete edge has one address: no edge or vertex id may also
+        # be the address of an edge of another bundle
+        for kind, xids in (("edge", ids), ("vertex", vs)):
+            for xid in xids:
+                owner = _addressed_bundle(xid, by_id) if "]" in xid else None
+                if owner is not None:
+                    raise SchemaError(f"{kind} id {xid!r} is the address of an edge of bundle {owner!r}")
         self.vertices = vs
         self.edges = es
         out: dict[str, list[Edge]] = {v: [] for v in vs}
@@ -223,6 +224,15 @@ def _indexes(e: Edge, index: str) -> bool:
     if e.mult == 1 or not index.isascii() or (index.startswith("0") and index != "0"):
         return False
     return e.mult is OMEGA or (len(index) <= len(str(e.mult)) and int(index) < e.mult)
+
+
+def _addressed_bundle(xid: str, by_id: dict[str, Edge]) -> str | None:
+    """The id of the bundle in ``by_id`` of which ``xid`` is the address of
+    an edge, or None."""
+    m = _ADDRESS_RE.match(xid)
+    if m and m.group(1) in by_id and _indexes(by_id[m.group(1)], m.group(2)):
+        return m.group(1)
+    return None
 
 
 def _addresses(e: Edge) -> list[str]:

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from leavitt import OMEGA, AlgebraContext, Edge, Graph, SchemaError, UnknownEdgeError, graph_to_json
+from leavitt import OMEGA, AlgebraContext, Edge, Graph, Path, SchemaError, UnknownEdgeError, graph_to_json, hedgehog
 from leavitt.cli import main
 
 
@@ -53,4 +53,26 @@ def test_cli_exits_2_on_both(tmp_path, capsys):
         "edges": [{"id": "b", "src": "u", "dst": "w", "mult": 2}, {"id": "b[0]", "src": "x", "dst": "y"}],
     }))
     assert main(["eval", str(path), "--expr", "u"]) == 2
+    assert json.loads(capsys.readouterr().err)["exit"] == 2
+
+
+def test_a_vertex_id_may_not_be_an_address_of_a_bundle(tmp_path, capsys):
+    for bundle in (Edge("b", "u", "w", 2), Edge("b", "u", "w", OMEGA)):
+        with pytest.raises(SchemaError):
+            Graph(["u", "w", "b[0]"], [bundle])
+    # none of these vertex ids is an address of an edge of b or c
+    g = Graph(["u", "w", "b[2]", "b[00]", "c[0]", "b["], [Edge("b", "u", "w", 2), Edge("c", "u", "u")])
+    assert g.resolve("b[1]").dst == "w"
+    # a hedgehog keeps the bundle b from the breaking vertex u, so the vertex
+    # for the entering path b[0] is primed
+    g = Graph(["u", "w", "z"], [Edge("b", "u", "w", OMEGA), Edge("d", "z", "u"), Edge("z0", "u", "z")])
+    res = hedgehog(g, ["w"], ["u"], depth_bound=2)
+    assert ("b[0]'", Path("u", ("b[0]",))) in res.path_vertices
+    assert "b[0]" not in res.graph.vertices
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": ["u", "w", "b[0]"],
+        "edges": [{"id": "b", "src": "u", "dst": "w", "mult": 2}],
+    }))
+    assert main(["eval", str(path), "--expr", "b[0]*.b[0]"]) == 2
     assert json.loads(capsys.readouterr().err)["exit"] == 2
