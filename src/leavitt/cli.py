@@ -36,6 +36,8 @@ from .graph import (
     Graph,
     Path,
     classify_vertex,
+    condition_K,
+    condition_L,
     graph_from_json,
     graph_to_obj,
     line_points,
@@ -100,8 +102,8 @@ def _report(g: Graph, args) -> dict:
             "vertices": len(g.vertices),
             "edgeBundles": len(g.edges),
             "rowFinite": g.is_row_finite(),
-            "conditionL": analysis.condition_L,
-            "conditionK": analysis.condition_K,
+            "conditionL": condition_L(g),
+            "conditionK": condition_K(g),
         },
         "vertexClasses": classes,
         "linePoints": lp,

@@ -5,6 +5,7 @@ graph spanned by a finite edge set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -396,21 +397,14 @@ def subalgebra_graph(g: Graph, addresses: Iterable[str]) -> Graph:
     y starts at itself).
     """
     f = sorted(set(addresses))
-    for a in f:
-        g.resolve(a)
-    fset = set(f)
+    chosen = Counter(g.resolve(a).id for a in f)  # each concrete edge has one address
     rf = {g.dst_of(a) for a in f}
     sf = {g.src_of(a) for a in f}
-    emits_other = set()
-    for v in rf & sf:
-        for e in g.out_bundles(v):
-            if e.mult is OMEGA:
-                emits_other.add(v)
-                break
-            if any(addr not in fset for addr in _addresses(e)):
-                emits_other.add(v)
-                break
-    middle = sorted((rf & sf) & emits_other)
+    middle = sorted(
+        v
+        for v in rf & sf
+        if any(e.mult is OMEGA or chosen[e.id] < e.mult for e in g.out_bundles(v))
+    )
     terminal = sorted(rf - sf)
 
     taken: set[str] = set()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import OMEGA, Edge, Graph
+from .graph import OMEGA, Edge, Graph, vertices_on_closed_paths
 
 
 def g_loop() -> Graph:
@@ -104,8 +104,6 @@ def random_cyclic_graph(
     rng: random.Random, max_vertices: int = 8, max_edges: int = 14
 ) -> Graph:
     """A random graph guaranteed to contain at least one cycle."""
-    from .graph import vertices_on_closed_paths
-
     while True:
         g = random_graph(rng, max_vertices, max_edges)
         if vertices_on_closed_paths(g):

@@ -13,7 +13,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from functools import cached_property
+from itertools import product
+from math import prod
+from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     InfinitelyManyCyclesError,
@@ -64,7 +67,7 @@ class Edge:
 class Graph:
     """A finite directed graph with multiplicity-labelled edge bundles."""
 
-    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_pred")
+    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_pred", "_scc")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
         vs = tuple(sorted(vertices))
@@ -427,8 +430,44 @@ class Condensation:
     inner_edges: tuple[Mult, ...]
     successors: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def cyclic(self) -> tuple[bool, ...]:
+        """Per SCC: whether it lies on a closed path."""
+        return tuple(k != 0 for k in self.inner_edges)
+
+    @cached_property
+    def single_cycle(self) -> tuple[bool, ...]:
+        """Per SCC: whether it is one simple cycle (one inner edge per vertex)."""
+        return tuple(k == len(vs) for k, vs in zip(self.inner_edges, self.members))
+
+    @cached_property
+    def no_exit(self) -> tuple[bool, ...]:
+        """Per SCC: whether it is a single cycle that no edge leaves."""
+        return tuple(c and not s for c, s in zip(self.single_cycle, self.successors))
+
+    def reaches(self, flags: Sequence[bool]) -> list[bool]:
+        """Per SCC: whether it reaches (or is) an SCC whose flag is set."""
+        out = list(flags)
+        succ = self.successors
+        for i in reversed(range(len(out))):
+            if not out[i]:
+                out[i] = any(out[j] for j in succ[i])
+        return out
+
 
 def condensation(g: Graph) -> Condensation:
+    """The SCCs of ``g``, found once per graph (graphs are immutable) and
+    then shared by every question asked about it."""
+    try:
+        return g._scc
+    except AttributeError:
+        scc = _tarjan(g)
+        # a cache, not a change to the graph: a second writer stores an equal value
+        object.__setattr__(g, "_scc", scc)
+        return scc
+
+
+def _tarjan(g: Graph) -> Condensation:
     """Tarjan's SCC algorithm with an explicit stack: O(V + E)."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -484,21 +523,33 @@ def condensation(g: Graph) -> Condensation:
     return Condensation(component, members, tuple(inner), tuple(tuple(sorted(s)) for s in successors))
 
 
+def _require_finitely_many_cycles(g: Graph, within: AbstractSet[str] | None = None) -> None:
+    """Raise as cycle enumeration would if an infinite bundle lies on a
+    closed path (of the whole graph, or among the vertices ``within``)."""
+    comp = condensation(g).component
+    for e in g.edges:
+        if e.mult is OMEGA and comp[e.src] == comp[e.dst] and (within is None or e.src in within):
+            raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
+
+
 def vertices_on_closed_paths(g: Graph) -> frozenset[str]:
     """Vertices that lie on at least one closed path."""
-    from .structure import GraphAnalysis  # structure builds on this module
-
-    return GraphAnalysis(g).vertices_on_closed_paths
+    scc = condensation(g)
+    return frozenset(v for i, c in enumerate(scc.cyclic) if c for v in scc.members[i])
 
 
 def line_points(g: Graph) -> frozenset[str]:
     """Vertices whose tree contains no bifurcation and no cycle.
 
-    An infinite bundle counts as a bifurcation.
+    An infinite bundle counts as a bifurcation.  A vertex reaches every
+    vertex of its SCC, so the line points are the SCCs that reach no SCC on
+    a closed path or with a vertex emitting two or more edges.
     """
-    from .structure import GraphAnalysis
-
-    return GraphAnalysis(g).line_points
+    scc = condensation(g)
+    # an out-degree other than 0 or 1 is 2 or more, or OMEGA
+    bad = [c or any(g.out_degree(v) not in (0, 1) for v in vs) for c, vs in zip(scc.cyclic, scc.members)]
+    reaches_bad = scc.reaches(bad)
+    return frozenset(v for i, r in enumerate(reaches_bad) if not r for v in scc.members[i])
 
 
 def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cycle]:
@@ -507,38 +558,28 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
     Bundles of multiplicity k contribute k parallel edges (hence k distinct
     cycles per vertex itinerary and slot).  An infinite bundle on a closed
     vertex itinerary makes the cycle set infinite and raises
-    :class:`InfinitelyManyCyclesError`.
+    :class:`InfinitelyManyCyclesError`.  The cycles of an itinerary are
+    counted before any is listed, so the cap costs nothing per edge.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
-    found: set[Cycle] = set()
+    found: list[Cycle] = []
 
     def expand(steps: list[tuple[str, str]]) -> None:
         # one concrete-address choice per step; multiplicities multiply out
-        choices: list[list[str]] = []
-        for u, w in steps:
-            addrs: list[str] = []
-            for e in g.out_bundles(u):
-                if e.dst != w:
-                    continue
-                if e.mult is OMEGA:
-                    raise InfinitelyManyCyclesError(
-                        f"infinite bundle {e.id!r} lies on a closed path"
-                    )
-                addrs.extend(_addresses(e))
-            choices.append(sorted(addrs))
-        combos = [[]]
-        for addrs in choices:
-            combos = [c + [a] for c in combos for a in addrs]
-            if len(found) + len(combos) > max_cycles:
-                raise ResourceCapError(f"more than {max_cycles} simple cycles")
-        for combo in combos:
-            found.add(canonical_cycle(g, combo))
-            if len(found) > max_cycles:
-                raise ResourceCapError(f"more than {max_cycles} simple cycles")
+        bundles = [[e for e in g.out_bundles(u) if e.dst == w] for u, w in steps]
+        for e in (e for step in bundles for e in step):
+            if e.mult is OMEGA:
+                raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
+        if len(found) + prod(sum(e.mult for e in step) for step in bundles) > max_cycles:
+            raise ResourceCapError(f"more than {max_cycles} simple cycles")
+        choices = [sorted(a for e in step for a in _addresses(e)) for step in bundles]
+        for combo in product(*choices):
+            k = combo.index(min(combo))  # canonical rotation: smallest address first
+            found.append(Cycle(combo[k:] + combo[:k]))
 
     # depth-first from each root through higher-ordered vertices of its own
     # SCC only (a cycle through root never leaves it), so each vertex
-    # itinerary is found once, from its least vertex
+    # itinerary is found once, from its least vertex, and no cycle twice
     component = condensation(g).component
     for root in g.vertices:
         rank, home = order[root], component[root]
@@ -566,14 +607,15 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
                 if work:
                     visited.discard(v)
                     steps.pop()
-    return sorted(found, key=Cycle.sort_key)
+    found.sort(key=Cycle.sort_key)
+    return found
 
 
 def condition_L(g: Graph) -> bool:
-    """Every simple cycle has an exit."""
-    from .structure import GraphAnalysis
-
-    return GraphAnalysis(g).condition_L
+    """Every simple cycle has an exit: no SCC is a single cycle that no edge
+    leaves."""
+    _require_finitely_many_cycles(g)
+    return not any(condensation(g).no_exit)
 
 
 def condition_K(g: Graph) -> bool:
@@ -581,11 +623,11 @@ def condition_K(g: Graph) -> bool:
     distinct simple closed paths.
 
     A simple closed path based at v is a first-return path: it touches v only
-    at its two ends, with no constraint on the other vertices.
+    at its two ends, with no constraint on the other vertices.  It holds
+    exactly when no SCC is a single cycle.
     """
-    from .structure import GraphAnalysis
-
-    return GraphAnalysis(g).condition_K
+    _require_finitely_many_cycles(g)
+    return not any(condensation(g).single_cycle)
 
 
 # ---------------------------------------------------------------------------

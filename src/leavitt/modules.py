@@ -19,6 +19,7 @@ from .graph import (
     Cycle,
     Graph,
     Path,
+    canonical_cycle,
     cycle_base,
     make_path,
     path_range,
@@ -389,8 +390,6 @@ def stream_to_obj(stream: StreamDescriptor) -> dict:
 
 
 def stream_from_obj(g: Graph, obj) -> StreamDescriptor:
-    from .graph import canonical_cycle
-
     if not isinstance(obj, dict) or "kind" not in obj:
         raise NotSupportedError("stream descriptor must be an object with a \"kind\"")
     if obj["kind"] == "periodic":

@@ -22,17 +22,19 @@ from functools import cached_property
 from typing import AbstractSet, Union
 
 from .closures import HSSet, SaturatedClosure, saturated_closure
-from .errors import InfinitelyManyCyclesError, NotSupportedError
+from .errors import NotSupportedError
 from .graph import (
     MAX_CYCLES_DEFAULT,
     OMEGA,
     Cycle,
     Graph,
+    _require_finitely_many_cycles,
     canonical_cycle,
     condensation,
     cycle_base,
     cycle_vertices,
     enumerate_cycles,
+    line_points,
 )
 
 # reason codes for finite-presentation verdicts
@@ -54,20 +56,30 @@ class CyclePoset:
     ``longest_chain`` counts the cycles in a maximal strictly descending
     chain; it is None when the pre-order fails antisymmetry (strict chains
     then have no maximum) and 0 for an acyclic graph.
+
+    The pre-order is kept per SCC, not per pair of cycles: ``components[i]``
+    is the SCC of ``cycles[i]``, and bit ``j`` of ``reach[k]`` is set when
+    SCC ``k`` reaches SCC ``j``.
     """
 
     cycles: tuple[Cycle, ...]
-    geq: tuple[tuple[bool, ...], ...]
     antisymmetric: bool
     longest_chain: int | None
     minimal_cycles: tuple[Cycle, ...]
     no_exit_cycles: tuple[Cycle, ...]
+    components: tuple[int, ...]
+    reach: tuple[int, ...]
 
     def index(self, c: Cycle) -> int:
-        return self.cycles.index(c)
+        try:
+            return self.cycles.index(c)
+        except ValueError:
+            raise NotSupportedError(f"{c!r} is not a cycle of this poset") from None
 
     def holds(self, c: Cycle, d: Cycle) -> bool:
-        return self.geq[self.index(c)][self.index(d)]
+        """Whether ``c >= d``: a path runs from ``c`` to ``d``."""
+        at = self.components
+        return bool(self.reach[at[self.index(c)]] >> at[self.index(d)] & 1)
 
 
 def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
@@ -108,7 +120,9 @@ def decide_fp(g: Graph) -> FpVerdict:
 
 
 def disjoint_cycles_criterion(g: Graph) -> bool:
-    """No vertex lies on two distinct cycles (the finite-graph criterion)."""
+    """No vertex lies on two distinct cycles (the finite-graph criterion):
+    an alias of ``GraphAnalysis(g).antisymmetric``, since cycles that share a
+    vertex reach each other."""
     return GraphAnalysis(g).antisymmetric
 
 
@@ -310,9 +324,8 @@ class GraphAnalysis:
       counting cyclic SCCs;
     * the minimal cycles are those of the cyclic SCCs that reach no other
       cyclic SCC, and a cycle has no exit iff its SCC is a single cycle that
-      no edge leaves;
-    * (L) fails iff a no-exit cycle exists, and (K) holds iff no cyclic SCC
-      is a single cycle.
+      no edge leaves (:func:`leavitt.graph.condition_L` and ``condition_K``
+      read the same flags of the condensation, which the graph shares).
 
     Where the cycle set would be infinite (an infinite bundle inside an SCC)
     the answers that depend on it raise :class:`InfinitelyManyCyclesError`,
@@ -322,87 +335,36 @@ class GraphAnalysis:
     def __init__(self, g: Graph):
         self.graph = g
         self.scc = condensation(g)
-        self._cyclic = [k != 0 for k in self.scc.inner_edges]
-        self._single_cycle = [k == len(vs) for k, vs in zip(self.scc.inner_edges, self.scc.members)]
-        self._no_exit = [c and not s for c, s in zip(self._single_cycle, self.scc.successors)]
 
     # -- reachability over the condensation ----------------------------------
 
-    def _reaches(self, flags: list[bool]) -> list[bool]:
-        """Per SCC: whether it reaches (or is) an SCC whose flag is set."""
-        out = list(flags)
-        succ = self.scc.successors
-        for i in reversed(range(len(out))):
-            if not out[i]:
-                out[i] = any(out[j] for j in succ[i])
-        return out
-
     @cached_property
     def _reaches_cyclic(self) -> list[bool]:
-        return self._reaches(self._cyclic)
+        return self.scc.reaches(self.scc.cyclic)
 
     @cached_property
     def _reaches_no_exit(self) -> list[bool]:
-        return self._reaches(self._no_exit)
+        return self.scc.reaches(self.scc.no_exit)
 
     @cached_property
     def _reaches_single_cycle(self) -> list[bool]:
-        return self._reaches(self._single_cycle)
+        return self.scc.reaches(self.scc.single_cycle)
 
     @cached_property
     def _reaches_infinite_cycles(self) -> list[bool]:
-        return self._reaches([k is OMEGA for k in self.scc.inner_edges])
-
-    def _require_finitely_many_cycles(self, start: int | None = None) -> None:
-        """Raise as cycle enumeration would if an infinite bundle lies on a
-        closed path (of the whole graph, or of the tree of SCC ``start``)."""
-        infinite = self._reaches_infinite_cycles
-        if not (any(infinite) if start is None else infinite[start]):
-            return
-        within = set(range(len(infinite)) if start is None else [start])
-        todo = list(within)
-        while todo:
-            for j in self.scc.successors[todo.pop()]:
-                if j not in within:
-                    within.add(j)
-                    todo.append(j)
-        comp = self.scc.component
-        for e in self.graph.edges:
-            if e.mult is OMEGA and comp[e.src] == comp[e.dst] and comp[e.src] in within:
-                raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
-
-    # -- vertex sets ---------------------------------------------------------
-
-    @cached_property
-    def vertices_on_closed_paths(self) -> frozenset[str]:
-        members = self.scc.members
-        return frozenset(v for i, c in enumerate(self._cyclic) if c for v in members[i])
+        return self.scc.reaches([k is OMEGA for k in self.scc.inner_edges])
 
     @cached_property
     def line_points(self) -> frozenset[str]:
-        """The vertices that reach no bad vertex (one on a closed path, or
-        emitting two or more edges), found by one reverse search."""
-        g = self.graph
-        on_cycle = self.vertices_on_closed_paths
-        todo = []
-        for w in g.vertices:
-            d = g.out_degree(w)
-            if w in on_cycle or d is OMEGA or d >= 2:
-                todo.append(w)
-        reaches_bad = set(todo)
-        while todo:
-            for e in g.in_bundles(todo.pop()):
-                if e.src not in reaches_bad:
-                    reaches_bad.add(e.src)
-                    todo.append(e.src)
-        return frozenset(v for v in g.vertices if v not in reaches_bad)
+        """Cached here, since :meth:`corner_report` reads it once per vertex."""
+        return line_points(self.graph)
 
     # -- the cycle pre-order -------------------------------------------------
 
     @cached_property
     def antisymmetric(self) -> bool:
-        self._require_finitely_many_cycles()
-        return all(s for c, s in zip(self._cyclic, self._single_cycle) if c)
+        _require_finitely_many_cycles(self.graph)
+        return all(s for c, s in zip(self.scc.cyclic, self.scc.single_cycle) if c)
 
     @cached_property
     def longest_chain(self) -> int | None:
@@ -411,21 +373,12 @@ class GraphAnalysis:
         succ = self.scc.successors
         depth = [0] * len(succ)
         for i in reversed(range(len(succ))):
-            depth[i] = self._cyclic[i] + max((depth[j] for j in succ[i]), default=0)
+            depth[i] = self.scc.cyclic[i] + max((depth[j] for j in succ[i]), default=0)
         return max(depth, default=0)
 
-    @cached_property
-    def condition_L(self) -> bool:
-        self._require_finitely_many_cycles()
-        return not any(self._no_exit)
-
-    @cached_property
-    def condition_K(self) -> bool:
-        self._require_finitely_many_cycles()
-        return not any(self._single_cycle)
-
     def cycle_poset(self, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
-        """The enumerated cycles, with ``geq`` read from SCC reachability."""
+        """The enumerated cycles, with the pre-order kept as per-SCC
+        reachability bitsets."""
         g, comp, succ = self.graph, self.scc.component, self.scc.successors
         cycles = tuple(enumerate_cycles(g, max_cycles))
         reach = [0] * len(succ)  # bit j set: SCC j is reachable
@@ -434,22 +387,23 @@ class GraphAnalysis:
             for j in succ[i]:
                 bits |= reach[j]
             reach[i] = bits
-        at = [comp[cycle_base(g, c)] for c in cycles]
-        geq = tuple(tuple(bool(reach[i] >> j & 1) for j in at) for i in at)
+        at = tuple(comp[cycle_base(g, c)] for c in cycles)
         return CyclePoset(
             cycles,
-            geq,
             self.antisymmetric,
             self.longest_chain,
             tuple(c for c, i in zip(cycles, at) if self._minimal[i]),
-            tuple(c for c, i in zip(cycles, at) if self._no_exit[i]),
+            tuple(c for c, i in zip(cycles, at) if self.scc.no_exit[i]),
+            at,
+            tuple(reach),
         )
 
     @cached_property
     def _minimal(self) -> list[bool]:
         """Per SCC: whether it is cyclic and reaches no other cyclic SCC."""
-        into_cyclic = [any(self._cyclic[j] for j in s) for s in self.scc.successors]
-        return [c and not r for c, r in zip(self._cyclic, self._reaches(into_cyclic))]
+        cyclic = self.scc.cyclic
+        into_cyclic = [any(cyclic[j] for j in s) for s in self.scc.successors]
+        return [c and not r for c, r in zip(cyclic, self.scc.reaches(into_cyclic))]
 
     def _scc_cycle(self, i: int) -> Cycle:
         """The cycle of an SCC that is a single cycle."""
@@ -470,7 +424,7 @@ class GraphAnalysis:
         order) closed by a shortest return path to u."""
         g, scc = self.graph, self.scc
         i = min(
-            (k for k, c in enumerate(self._cyclic) if c and not self._single_cycle[k]),
+            (k for k, c in enumerate(self.scc.cyclic) if c and not self.scc.single_cycle[k]),
             key=lambda k: scc.members[k][0],
         )
         for u in scc.members[i]:
@@ -510,7 +464,7 @@ class GraphAnalysis:
         for e in self.graph.edges:
             if e.mult is OMEGA:
                 return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": e.id},))
-        if not any(self._cyclic):
+        if not any(self.scc.cyclic):
             return FpVerdict(True, ({"code": OK_ACYCLIC, "witness": None},))
         notes = (
             "the cycle pre-order on a finite graph is artinian once antisymmetric",
@@ -535,11 +489,12 @@ class GraphAnalysis:
     def corner_report(self, v: str) -> CornerReport:
         """The tree of ``v`` is the union of the SCCs reachable from v's SCC."""
         i = self.scc.component[self.graph.require_vertex(v)]
-        self._require_finitely_many_cycles(i)
+        if self._reaches_infinite_cycles[i]:
+            _require_finitely_many_cycles(self.graph, self.graph.reachable([v]))
         return CornerReport(
             v,
             v in self.line_points,
-            self._no_exit[i],
+            self.scc.no_exit[i],
             not self._reaches_cyclic[i],
             not self._reaches_no_exit[i],
             not self._reaches_single_cycle[i],
@@ -565,7 +520,7 @@ class GraphAnalysis:
                 s = e.src
                 if s in reach or s in removed:
                     continue
-                if comp[s] != home and self._cyclic[comp[s]]:
+                if comp[s] != home and self.scc.cyclic[comp[s]]:
                     return OMEGA  # another cycle feeds the base
                 reach.add(s)
                 todo.append(s)
@@ -694,7 +649,7 @@ class _Quotient:
             i = scc.component[e.src]
             if i != scc.component[e.dst]:
                 self.exits[i] += 1
-        self.no_exit = {i for i in range(n) if a._single_cycle[i] and not self.exits[i]}
+        self.no_exit = {i for i in range(n) if a.scc.single_cycle[i] and not self.exits[i]}
         self.preds: list[list[int]] = [[] for _ in range(n)]
         for i, succ in enumerate(scc.successors):
             for j in succ:
@@ -703,7 +658,7 @@ class _Quotient:
         self.done = [False] * n  # in H, or outside H and reaching no cycle outside H
         self.acyclic: list[int] = []  # SCCs done since the last take_acyclic
         for i in range(n):
-            if not self.live[i] and not a._cyclic[i]:
+            if not self.live[i] and not a.scc.cyclic[i]:
                 self._finish(i)
 
     def _finish(self, i: int) -> None:
@@ -716,7 +671,7 @@ class _Quotient:
             self.acyclic.append(k)
             for p in self.preds[k]:
                 self.live[p] -= 1
-                if not self.live[p] and not self.a._cyclic[p]:
+                if not self.live[p] and not self.a.scc.cyclic[p]:
                     todo.append(p)
 
     def grow(self, seed) -> None:
@@ -728,7 +683,7 @@ class _Quotient:
                 i = comp[e.src]
                 if i != comp[x]:
                     self.exits[i] -= 1
-                    if not self.exits[i] and self.a._single_cycle[i]:
+                    if not self.exits[i] and self.a.scc.single_cycle[i]:
                         self.no_exit.add(i)
         for i in {comp[x] for x in added}:
             self.in_h[i] = True

@@ -4,10 +4,11 @@ one process can serve many requests."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from leavitt import graph_to_json
+from leavitt import Edge, Graph, graph_to_json
 from leavitt.cli import main
 from leavitt.fixtures import g_line, g_loop, g_loop_chain, g_rose2
 
@@ -107,3 +108,12 @@ def test_large_prime_fields(write_graph, capsys):
     assert code == 0 and out["terms"][0]["coeff"] == "2"
     code, out, err = run_cli(capsys, "eval", loop, "--expr", "v", "--field", str(10**25 + 13))
     assert code == 2 and out is None and err["exit"] == 2
+
+
+def test_cycle_cap_is_checked_before_any_address_is_listed(write_graph, capsys):
+    loop = write_graph(Graph(["v"], [Edge("c", "v", "v", 10**9)]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", loop)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out is None
+    assert err == {"error": "more than 100000 simple cycles", "exit": 3}

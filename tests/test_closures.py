@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from leavitt import (
     tree,
     vertices_on_closed_paths,
 )
+from leavitt.closures import _fresh
 from leavitt.fixtures import (
     add_edges,
     g_clock,
@@ -34,6 +36,7 @@ from leavitt.fixtures import (
     g_toeplitz,
     random_graph,
 )
+from leavitt.graph import OMEGA, _addresses, bundle_addresses
 
 
 def test_hereditary_closure_examples():
@@ -260,3 +263,61 @@ def test_hedgehog_on_a_long_line():
     assert res.complete
     assert len(res.path_vertices) == 1099
     assert max(len(p) for _, p in res.path_vertices) == 1099
+
+
+def _old_subalgebra_graph(g: Graph, addresses) -> Graph:
+    """``subalgebra_graph`` as it was when it listed every address of every
+    bundle at a shared vertex, kept verbatim as the oracle."""
+    f = sorted(set(addresses))
+    for a in f:
+        g.resolve(a)
+    fset = set(f)
+    rf = {g.dst_of(a) for a in f}
+    sf = {g.src_of(a) for a in f}
+    emits_other = set()
+    for v in rf & sf:
+        for e in g.out_bundles(v):
+            if e.mult is OMEGA:
+                emits_other.add(v)
+                break
+            if any(addr not in fset for addr in _addresses(e)):
+                emits_other.add(v)
+                break
+    middle = sorted((rf & sf) & emits_other)
+    terminal = sorted(rf - sf)
+
+    taken: set[str] = set()
+    vid_of_edge = {a: _fresh(a, taken) for a in f}
+    vid_of_vertex = {v: _fresh(v, taken) for v in middle + terminal}
+
+    starts: list[tuple[str, str]] = [(g.src_of(a), vid_of_edge[a]) for a in f]
+    starts += [(v, vid_of_vertex[v]) for v in middle + terminal]
+
+    edges = []
+    for a in f:
+        for start_vertex, vid in starts:
+            if g.dst_of(a) == start_vertex:
+                edges.append(Edge(_fresh(f"({a},{vid})", taken), vid_of_edge[a], vid))
+    return Graph(list(vid_of_edge.values()) + list(vid_of_vertex.values()), edges)
+
+
+def test_subalgebra_graph_matches_the_address_listing_loop():
+    rng = random.Random(29)
+    for _ in range(1500):
+        g = random_graph(rng, max_vertices=5, max_edges=8)
+        edges = [Edge(e.id, e.src, e.dst, rng.choice((1, 1, 2, 3))) for e in g.edges]
+        if edges and rng.random() < 0.2:
+            e = rng.choice(edges)
+            edges[edges.index(e)] = Edge(e.id, e.src, e.dst, OMEGA)
+        g = Graph(g.vertices, edges)
+        pool = [a for e in g.edges for a in bundle_addresses(g, e.id, limit=3)]
+        chosen = rng.sample(pool, rng.randint(0, len(pool)))
+        assert subalgebra_graph(g, chosen) == _old_subalgebra_graph(g, chosen)
+
+
+def test_subalgebra_graph_cost_does_not_follow_the_multiplicity():
+    g = Graph(["v"], [Edge("c", "v", "v", 10**9)])
+    start = time.perf_counter()
+    ef = subalgebra_graph(g, ["c[0]"])
+    assert time.perf_counter() - start < 0.5
+    assert set(ef.vertices) == {"c[0]", "v"}

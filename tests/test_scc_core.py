@@ -3,9 +3,12 @@ the witness rule for graphs whose cycle pre-order is not antisymmetric."""
 
 from __future__ import annotations
 
+import ast
 import json
 import time
+from pathlib import Path
 
+import leavitt
 from leavitt import (
     Edge,
     Graph,
@@ -16,6 +19,7 @@ from leavitt import (
     graph_to_json,
     laurent_index_cardinality,
 )
+from leavitt import graph as graph_mod
 from leavitt.cli import main
 from leavitt.fixtures import g_loop_chain_with_sink
 
@@ -90,3 +94,52 @@ def test_enumerate_cycles_skips_roots_no_walk_can_return_to():
     (c,) = enumerate_cycles(ring(3000))
     assert time.perf_counter() - start < 1.0
     assert len(c) == 3000 and c.edges[0] == "e0"
+
+
+def complete_digraph(n: int) -> Graph:
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [Edge(f"e{i}_{j}", u, w) for i, u in enumerate(vs) for j, w in enumerate(vs) if i != j])
+
+
+def test_report_on_k8_without_a_pairwise_preorder(tmp_path, capsys):
+    # 16064 cycles: a C x C pre-order matrix would hold about 2.6e8 entries
+    path = tmp_path / "k8.json"
+    path.write_text(graph_to_json(complete_digraph(8)))
+    start = time.perf_counter()
+    assert main(["report", str(path)]) == 0
+    assert time.perf_counter() - start < 3.0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["cyclePoset"]["cycles"]) == 16064
+    assert report["cyclePoset"]["antisymmetric"] is False
+
+
+def test_one_report_runs_tarjan_once(tmp_path, capsys, monkeypatch):
+    runs = []
+    tarjan = graph_mod._tarjan
+
+    def counted(g):
+        runs.append(g)
+        return tarjan(g)
+
+    monkeypatch.setattr(graph_mod, "_tarjan", counted)
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(g_loop_chain_with_sink(4)))
+    assert main(["report", str(path)]) == 0
+    capsys.readouterr()
+    assert len(runs) == 1
+
+
+def test_no_function_in_the_package_imports():
+    # imports at module level only: a function-level import hides a cycle
+    # between modules
+    found = []
+    for path in sorted(Path(leavitt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []

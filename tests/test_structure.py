@@ -8,6 +8,7 @@ import pytest
 
 from leavitt import (
     OMEGA,
+    Cycle,
     Edge,
     Graph,
     NotSupportedError,
@@ -273,3 +274,12 @@ def test_verdict_serialization():
     filt = fp_filtration(g_loop()).to_obj()
     assert filt["chain"] == [[], ["v"]]
     assert filt["layers"][1]["indexCardinality"] == 1
+
+
+def test_cycle_poset_rejects_a_foreign_cycle():
+    cp = cycle_poset(g_loop_chain(2))
+    foreign = Cycle(("x",))
+    with pytest.raises(NotSupportedError):
+        cp.index(foreign)
+    with pytest.raises(NotSupportedError):
+        cp.holds(cp.cycles[0], foreign)
