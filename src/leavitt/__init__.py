@@ -105,7 +105,6 @@ from .structure import (
     Filtration,
     FpVerdict,
     GkVerdict,
-    GraphAnalysis,
     LaurentMatrixLayer,
     MixedLayer,
     SocleLayer,

@@ -505,7 +505,8 @@ class AlgebraElement:
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other: "AlgebraElement") -> None:
-        if self.ctx != other.ctx:
+        # comparing two contexts compares their graphs: O(V + E)
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("operands belong to different algebra contexts")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":

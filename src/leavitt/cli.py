@@ -49,8 +49,8 @@ from .modules import (
     sv_act,
 )
 from .structure import (
-    GraphAnalysis,
     corner_report,
+    cycle_poset,
     decide_fp,
     decide_gk,
     fp_filtration,
@@ -88,13 +88,12 @@ def _vertex_list(text: str) -> list[str]:
 
 
 def _report(g: Graph, args) -> dict:
-    analysis = GraphAnalysis(g)
-    cp = analysis.cycle_poset(args.max_cycles)
+    cp = cycle_poset(g, args.max_cycles)
     classes = {}
     for v in g.vertices:
         c = classify_vertex(g, v)
         classes[v] = {"class": c.kind, "outDegree": c.out_degree}
-    lp = sorted(analysis.line_points)
+    lp = sorted(line_points(g))
     socle = sorted(saturated_closure(g, lp).vertices)
     return {
         "version": __version__,
@@ -115,9 +114,9 @@ def _report(g: Graph, args) -> dict:
             "minimalCycles": [list(c.edges) for c in cp.minimal_cycles],
             "noExitCycles": [list(c.edges) for c in cp.no_exit_cycles],
         },
-        "fp": analysis.fp_verdict().to_obj(),
-        "gk": analysis.gk_verdict().to_obj(),
-        "corners": {v: analysis.corner_report(v).to_obj() for v in g.vertices},
+        "fp": decide_fp(g).to_obj(),
+        "gk": decide_gk(g).to_obj(),
+        "corners": {v: corner_report(g, v).to_obj() for v in g.vertices},
     }
 
 

@@ -16,7 +16,6 @@ from .graph import (
     Graph,
     Path,
     _addressed_bundle,
-    _addresses,
     classify_vertex,
     condensation,
     is_regular,
@@ -299,21 +298,26 @@ def _enumerate_entering_paths(
     f1: list[Path] = []
     f2: list[Path] = []
 
-    # moves[u] = the concrete steps from u that can still reach targets
-    moves = {
-        u: [
-            (addr, e.dst)
-            for e in g.out_bundles(u)
-            if e.dst in targets or e.dst in relevant
-            for addr in ([f"{e.id}[0]"] if e.mult is OMEGA else _addresses(e))
-        ]
-        for u in relevant
-    }
+    # moves[u] = the bundles from u that can still reach targets; a bundle's
+    # addresses are listed only as the walk takes them
+    moves = {u: [e for e in g.out_bundles(u) if e.dst in targets or e.dst in relevant] for u in relevant}
+
+    def steps(u: str, last: bool):
+        """The concrete steps from u; at the depth bound only those into targets."""
+        for e in moves[u]:
+            if last and e.dst not in targets:
+                continue
+            if e.mult == 1:
+                yield e.id, e.dst
+            else:
+                for k in range(1 if e.mult is OMEGA else e.mult):
+                    yield f"{e.id}[{k}]", e.dst
+
     # depth-first with an explicit stack; chain is the path to the top frame,
     # a valid chain by construction, so each found path is built directly
     for v in sorted(relevant):
         chain: list[str] = []
-        work = [iter(moves[v])]
+        work = [steps(v, not complete and depth_bound == 1)]
         while work:
             for addr, dst in work[-1]:
                 chain.append(addr)
@@ -323,7 +327,7 @@ def _enumerate_entering_paths(
                     if dst in s:
                         f2.append(Path(v, tuple(chain)))
                     if complete or len(chain) < depth_bound:
-                        work.append(iter(moves[dst]))
+                        work.append(steps(dst, not complete and len(chain) + 1 == depth_bound))
                         break
                 chain.pop()
             else:

@@ -109,8 +109,7 @@ class _Parser:
         if (t := self.peek()) is not None and t.kind == "*":
             self.take()
             ghost = True
-        g = self.ctx.graph
-        if name in g.vertices:
+        if self.ctx.graph.has_vertex(name):
             return self.ctx.vertex(name)
         try:
             return self.ctx.ghost(name) if ghost else self.ctx.edge(name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     InfinitelyManyCyclesError,
@@ -126,6 +126,9 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edge bundles)"
 
     # -- vertex/edge lookups -------------------------------------------------
+
+    def has_vertex(self, v: str) -> bool:
+        return v in self._out
 
     def require_vertex(self, v: str) -> str:
         if v not in self._out:
@@ -416,19 +419,29 @@ def tree(g: Graph, v: str) -> TreeView:
 
 @dataclass(frozen=True)
 class Condensation:
-    """The strongly connected components (SCCs) of a graph.
+    """The strongly connected components (SCCs) of a graph, and every
+    structural answer read off them.
 
     SCCs are numbered in topological order: every edge between two SCCs
     runs from a lower number to a higher one.  ``inner_edges[i]`` counts the
     concrete edges with both ends in SCC ``i`` (``OMEGA`` when an infinite
     bundle lies inside it); an SCC lies on a closed path exactly when that
-    count is not 0.
+    count is not 0.  ``infinite_bundle[i]`` is the least id of an infinite
+    bundle inside SCC ``i`` (None if there is none), and ``branching[i]``
+    tells whether a vertex of SCC ``i`` emits two or more concrete edges.
+
+    The answers derived from these are cached properties, each computed at
+    most once per graph in O(V + E); those about cycles are read only after
+    :func:`_require_finitely_many_cycles` has passed.  A property that two
+    threads fill at once is computed twice, to equal values.
     """
 
     component: Mapping[str, int]
     members: tuple[tuple[str, ...], ...]
     inner_edges: tuple[Mult, ...]
     successors: tuple[tuple[int, ...], ...]
+    infinite_bundle: tuple[str | None, ...]
+    branching: tuple[bool, ...]
 
     @cached_property
     def cyclic(self) -> tuple[bool, ...]:
@@ -453,6 +466,74 @@ class Condensation:
             if not out[i]:
                 out[i] = any(out[j] for j in succ[i])
         return out
+
+    @cached_property
+    def reaches_cyclic(self) -> list[bool]:
+        return self.reaches(self.cyclic)
+
+    @cached_property
+    def reaches_single_cycle(self) -> list[bool]:
+        return self.reaches(self.single_cycle)
+
+    @cached_property
+    def reaches_no_exit(self) -> list[bool]:
+        return self.reaches(self.no_exit)
+
+    @cached_property
+    def infinite_reached(self) -> list[str | None]:
+        """Per SCC: the least id of an infinite bundle inside an SCC that it
+        reaches (or is), or None."""
+        out = list(self.infinite_bundle)
+        succ = self.successors
+        for i in reversed(range(len(out))):
+            for j in succ[i]:
+                if out[j] is not None and (out[i] is None or out[j] < out[i]):
+                    out[i] = out[j]
+        return out
+
+    @cached_property
+    def reach(self) -> tuple[int, ...]:
+        """Per SCC: bit ``j`` is set when the SCC reaches SCC ``j`` (or is it)."""
+        succ = self.successors
+        reach = [0] * len(succ)
+        for i in reversed(range(len(succ))):
+            bits = 1 << i
+            for j in succ[i]:
+                bits |= reach[j]
+            reach[i] = bits
+        return tuple(reach)
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        """Whether the cycle pre-order is antisymmetric: every cyclic SCC is
+        a single cycle."""
+        return all(s for c, s in zip(self.cyclic, self.single_cycle) if c)
+
+    @cached_property
+    def longest_chain(self) -> int | None:
+        """The number of cycles in a longest strictly descending chain: the
+        longest path of the DAG, counting cyclic SCCs (None when the
+        pre-order is not antisymmetric)."""
+        if not self.antisymmetric:
+            return None
+        succ = self.successors
+        depth = [0] * len(succ)
+        for i in reversed(range(len(succ))):
+            depth[i] = self.cyclic[i] + max((depth[j] for j in succ[i]), default=0)
+        return max(depth, default=0)
+
+    @cached_property
+    def minimal(self) -> list[bool]:
+        """Per SCC: whether it is cyclic and reaches no other cyclic SCC."""
+        r = self.reaches_cyclic
+        return [c and not any(r[j] for j in s) for c, s in zip(self.cyclic, self.successors)]
+
+    @cached_property
+    def line_points(self) -> frozenset[str]:
+        """The vertices of the SCCs that reach no SCC on a closed path or
+        with a vertex emitting two or more edges."""
+        bad = self.reaches([c or b for c, b in zip(self.cyclic, self.branching)])
+        return frozenset(v for i, r in enumerate(bad) if not r for v in self.members[i])
 
 
 def condensation(g: Graph) -> Condensation:
@@ -511,25 +592,38 @@ def _tarjan(g: Graph) -> Condensation:
     component = {v: n - 1 - i for i, scc in enumerate(found) for v in scc}
     members = tuple(tuple(sorted(scc)) for scc in reversed(found))
     inner: list[Mult] = [0] * n
+    infinite: list[str | None] = [None] * n
+    branching = [False] * n
     successors: list[set[int]] = [set() for _ in range(n)]
-    for e in g.edges:
+    for e in g.edges:  # in id order, so an SCC's first infinite bundle is its least
         i, j = component[e.src], component[e.dst]
+        # two or more concrete edges leave e.src (an infinite bundle counts)
+        if e.mult != 1 or len(g._out[e.src]) > 1:
+            branching[i] = True
         if i != j:
             successors[i].add(j)
-        elif e.mult is OMEGA or inner[i] is OMEGA:
+        elif e.mult is OMEGA:
             inner[i] = OMEGA
-        else:
+            if infinite[i] is None:
+                infinite[i] = e.id
+        elif inner[i] is not OMEGA:
             inner[i] += e.mult
-    return Condensation(component, members, tuple(inner), tuple(tuple(sorted(s)) for s in successors))
+    return Condensation(
+        component,
+        members,
+        tuple(inner),
+        tuple(tuple(sorted(s)) for s in successors),
+        tuple(infinite),
+        tuple(branching),
+    )
 
 
-def _require_finitely_many_cycles(g: Graph, within: AbstractSet[str] | None = None) -> None:
+def _require_finitely_many_cycles(g: Graph) -> None:
     """Raise as cycle enumeration would if an infinite bundle lies on a
-    closed path (of the whole graph, or among the vertices ``within``)."""
-    comp = condensation(g).component
-    for e in g.edges:
-        if e.mult is OMEGA and comp[e.src] == comp[e.dst] and (within is None or e.src in within):
-            raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
+    closed path."""
+    found = [b for b in condensation(g).infinite_bundle if b is not None]
+    if found:
+        raise InfinitelyManyCyclesError(f"infinite bundle {min(found)!r} lies on a closed path")
 
 
 def vertices_on_closed_paths(g: Graph) -> frozenset[str]:
@@ -545,11 +639,7 @@ def line_points(g: Graph) -> frozenset[str]:
     vertex of its SCC, so the line points are the SCCs that reach no SCC on
     a closed path or with a vertex emitting two or more edges.
     """
-    scc = condensation(g)
-    # an out-degree other than 0 or 1 is 2 or more, or OMEGA
-    bad = [c or any(g.out_degree(v) not in (0, 1) for v in vs) for c, vs in zip(scc.cyclic, scc.members)]
-    reaches_bad = scc.reaches(bad)
-    return frozenset(v for i, r in enumerate(reaches_bad) if not r for v in scc.members[i])
+    return condensation(g).line_points
 
 
 def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cycle]:

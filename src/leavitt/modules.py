@@ -200,10 +200,6 @@ def chen_basis_element(
     return ChenBasisElement(stream, Path(base, tuple(edges)), n)
 
 
-def element_source(g: Graph, b: ChenBasisElement) -> str:
-    return b.prefix.base
-
-
 def _strip_front(g: Graph, b: ChenBasisElement, q: Path) -> ChenBasisElement | None:
     """Remove the path q from the front of b, or None if b does not start with q."""
     if not q.edges:

@@ -7,25 +7,28 @@ polynomially bounded.  Filtration builders produce the witnessing chains of
 hereditary saturated sets with a layer descriptor per step.
 
 Every answer is read off the strongly connected components (SCCs) of the
-graph by :class:`GraphAnalysis`, in time linear in the size of the graph.
-Two cycles reach each other exactly when they lie in the same SCC, so the
-pre-order is antisymmetric exactly when every SCC on a closed path is a
-single simple cycle, that is, has as many inner edges as vertices.  Only
-:func:`cycle_poset` lists cycles, and only it is capped.
+graph, in time linear in the size of the graph: the
+:class:`~leavitt.graph.Condensation` that :func:`~leavitt.graph.condensation`
+keeps with each graph caches the per-SCC facts, so asking many questions
+about one graph costs one analysis.  Two cycles reach each other exactly
+when they lie in the same SCC, so the pre-order is antisymmetric exactly
+when every SCC on a closed path is a single simple cycle, that is, has as
+many inner edges as vertices.  Only :func:`cycle_poset` lists cycles, and
+only it is capped.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import AbstractSet, Union
 
 from .closures import HSSet, SaturatedClosure, saturated_closure
-from .errors import NotSupportedError
+from .errors import InfinitelyManyCyclesError, NotSupportedError
 from .graph import (
     MAX_CYCLES_DEFAULT,
     OMEGA,
+    Condensation,
     Cycle,
     Graph,
     _require_finitely_many_cycles,
@@ -34,7 +37,6 @@ from .graph import (
     cycle_base,
     cycle_vertices,
     enumerate_cycles,
-    line_points,
 )
 
 # reason codes for finite-presentation verdicts
@@ -83,7 +85,20 @@ class CyclePoset:
 
 
 def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
-    return GraphAnalysis(g).cycle_poset(max_cycles)
+    """The enumerated cycles, with the pre-order kept as per-SCC
+    reachability bitsets."""
+    cycles = tuple(enumerate_cycles(g, max_cycles))
+    scc = condensation(g)
+    at = tuple(scc.component[cycle_base(g, c)] for c in cycles)
+    return CyclePoset(
+        cycles,
+        scc.antisymmetric,
+        scc.longest_chain,
+        tuple(c for c, i in zip(cycles, at) if scc.minimal[i]),
+        tuple(c for c, i in zip(cycles, at) if scc.no_exit[i]),
+        at,
+        scc.reach,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +131,28 @@ def decide_fp(g: Graph) -> FpVerdict:
     verdict holds exactly when the cycle pre-order is antisymmetric (it is
     then artinian, and the socle and quotient conditions hold).
     """
-    return GraphAnalysis(g).fp_verdict()
+    for e in g.edges:
+        if e.mult is OMEGA:
+            return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": e.id},))
+    scc = condensation(g)
+    if not any(scc.cyclic):
+        return FpVerdict(True, ({"code": OK_ACYCLIC, "witness": None},))
+    notes = (
+        "the cycle pre-order on a finite graph is artinian once antisymmetric",
+        "every infinite path in a finite graph eventually winds around a cycle "
+        "or reaches a line point, so the infinite-path condition holds",
+    )
+    if not scc.antisymmetric:
+        return FpVerdict(False, ({"code": GEQ_NOT_ANTISYMMETRIC, "witness": _witness(g, scc)},), notes)
+    return FpVerdict(True, ({"code": OK_CYCLIC, "witness": None},), notes)
 
 
 def disjoint_cycles_criterion(g: Graph) -> bool:
     """No vertex lies on two distinct cycles (the finite-graph criterion):
-    an alias of ``GraphAnalysis(g).antisymmetric``, since cycles that share a
-    vertex reach each other."""
-    return GraphAnalysis(g).antisymmetric
+    an alias of the antisymmetry of the cycle pre-order, since cycles that
+    share a vertex reach each other."""
+    _require_finitely_many_cycles(g)
+    return condensation(g).antisymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +182,15 @@ def decide_gk(g: Graph) -> GkVerdict:
     """Growth is polynomially bounded iff distinct cycles never meet, i.e.
     the cycle pre-order is antisymmetric; the longest chain d gives the lower
     bound 2d - 1 for the growth exponent (0 when acyclic)."""
-    return GraphAnalysis(g).gk_verdict()
+    notes = ()
+    if not g.is_row_finite():
+        notes = ("graph has infinite bundles; verdict covers the listed structure only",)
+    _require_finitely_many_cycles(g)
+    scc = condensation(g)
+    if not scc.antisymmetric:
+        return GkVerdict(False, None, None, _witness(g, scc), notes)
+    d = scc.longest_chain
+    return GkVerdict(True, d, 2 * d - 1 if d > 0 else 0, None, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +271,7 @@ def laurent_index_cardinality(g: Graph, c: Cycle) -> Union[int, object]:
     only at their end (the length-0 path included); the count is OMEGA as
     soon as a cycle other than ``c`` reaches the base.
     """
-    return GraphAnalysis(g).entry_paths(cycle_base(g, c), frozenset())
+    return _entry_paths(g, condensation(g), cycle_base(g, c), frozenset())
 
 
 def fp_filtration(g: Graph) -> Filtration:
@@ -242,7 +279,22 @@ def fp_filtration(g: Graph) -> Filtration:
     finite-presentation property: the socle closure first, then one cycle
     without exits per step (lexicographically least in the current quotient).
     """
-    return GraphAnalysis(g).fp_filtration()
+    verdict = decide_fp(g)
+    if not verdict.all_finitely_presented:
+        raise NotSupportedError(f"not every simple module is finitely presented: {verdict.codes()}")
+    scc = condensation(g)
+    q = _Quotient(g, scc)
+    q.grow(scc.line_points)
+    chain = [HSSet(frozenset(q.closure.vertices), scc.line_points)]
+    layers: list[Layer] = [SocleLayer(chain[0].vertices)]
+    while len(q.closure.vertices) < len(g.vertices):
+        c = min(q.no_exit_cycles(), key=Cycle.sort_key)
+        card = _entry_paths(g, scc, cycle_base(g, c), q.closure.vertices)
+        cycle = cycle_vertices(g, c)
+        q.grow(cycle)
+        chain.append(HSSet(frozenset(q.closure.vertices), chain[-1].vertices | cycle))
+        layers.append(LaurentMatrixLayer(c, card))
+    return Filtration(tuple(chain), tuple(layers))
 
 
 def gk_filtration(g: Graph) -> Filtration:
@@ -251,7 +303,54 @@ def gk_filtration(g: Graph) -> Filtration:
     then, per step, all acyclic vertices and all no-exit cycles of the
     current quotient.
     """
-    return GraphAnalysis(g).gk_filtration()
+    if not decide_gk(g).finite:
+        raise NotSupportedError("growth is not polynomially bounded")
+    if not g.is_row_finite():
+        raise NotSupportedError("filtrations require a row-finite graph")
+    scc = condensation(g)
+    comp = scc.component
+    exit_targets = frozenset(
+        e.dst
+        for i, vs in enumerate(scc.members)
+        if scc.minimal[i]
+        for v in vs
+        for e in g.out_bundles(v)
+        if comp[e.dst] != i
+    )
+    q = _Quotient(g, scc)
+    q.grow(exit_targets)
+    chain: list[HSSet] = []
+    layers: list[Layer] = []
+    if q.closure.vertices:
+        chain.append(HSSet(frozenset(q.closure.vertices), exit_targets))
+        layers.append(VnrLayer(chain[0].vertices))
+    while len(q.closure.vertices) < len(g.vertices):
+        acyclic = q.take_acyclic()
+        no_exit = sorted(q.no_exit_cycles(), key=Cycle.sort_key)
+        added = set(acyclic)
+        for c in no_exit:
+            added |= cycle_vertices(g, c)
+        laurent = tuple(
+            LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c), q.closure.vertices))
+            for c in no_exit
+        )
+        if acyclic and laurent:
+            layer: Layer = MixedLayer(acyclic, laurent)
+        elif laurent and len(laurent) == 1:
+            layer = laurent[0]
+        elif laurent:
+            layer = MixedLayer(frozenset(), laurent)
+        else:
+            layer = VnrLayer(acyclic)
+        seed = frozenset(q.closure.vertices) | added
+        q.grow(added)
+        chain.append(HSSet(frozenset(q.closure.vertices), seed))
+        layers.append(layer)
+    if not chain:
+        # graph with no vertices at all
+        chain = [saturated_closure(g, ())]
+        layers = [VnrLayer(frozenset())]
+    return Filtration(tuple(chain), tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -302,322 +401,130 @@ class CornerReport:
 
 def corner_report(g: Graph, v: str) -> CornerReport:
     """Evaluate the tree of ``v`` as a complete subgraph and emit the ring
-    labels its properties certify."""
-    return GraphAnalysis(g).corner_report(v)
+    labels its properties certify.
 
-
-# ---------------------------------------------------------------------------
-# Graph analysis
-# ---------------------------------------------------------------------------
-
-
-class GraphAnalysis:
-    """The structural answers about one graph, each computed at most once
-    from its SCC condensation.
-
-    A cyclic SCC (more than one vertex, or a loop) is a single simple cycle
-    when it has exactly one inner edge per vertex.  Cycles in different SCCs
-    never reach each other both ways, so:
-
-    * the pre-order is antisymmetric iff every cyclic SCC is a single cycle,
-      and the longest chain is the longest path of the condensation DAG,
-      counting cyclic SCCs;
-    * the minimal cycles are those of the cyclic SCCs that reach no other
-      cyclic SCC, and a cycle has no exit iff its SCC is a single cycle that
-      no edge leaves (:func:`leavitt.graph.condition_L` and ``condition_K``
-      read the same flags of the condensation, which the graph shares).
-
-    Where the cycle set would be infinite (an infinite bundle inside an SCC)
-    the answers that depend on it raise :class:`InfinitelyManyCyclesError`,
-    as enumerating the cycles would.
+    The tree of ``v`` is the union of the SCCs reachable from v's SCC.
     """
+    scc = condensation(g)
+    i = scc.component[g.require_vertex(v)]
+    bundle = scc.infinite_reached[i]
+    if bundle is not None:
+        raise InfinitelyManyCyclesError(f"infinite bundle {bundle!r} lies on a closed path")
+    return CornerReport(
+        v,
+        v in scc.line_points,
+        scc.no_exit[i],
+        not scc.reaches_cyclic[i],
+        not scc.reaches_no_exit[i],
+        not scc.reaches_single_cycle[i],
+    )
 
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.scc = condensation(g)
 
-    # -- reachability over the condensation ----------------------------------
+# ---------------------------------------------------------------------------
+# Helpers over the condensation
+# ---------------------------------------------------------------------------
 
-    @cached_property
-    def _reaches_cyclic(self) -> list[bool]:
-        return self.scc.reaches(self.scc.cyclic)
 
-    @cached_property
-    def _reaches_no_exit(self) -> list[bool]:
-        return self.scc.reaches(self.scc.no_exit)
+def _scc_cycle(g: Graph, scc: Condensation, i: int) -> Cycle:
+    """The cycle of an SCC that is a single cycle."""
+    comp = scc.component
+    start = v = scc.members[i][0]
+    edges = []
+    while True:
+        (e,) = [b for b in g.out_bundles(v) if comp[b.dst] == i]
+        edges.append(e.id)
+        v = e.dst
+        if v == start:
+            return canonical_cycle(g, edges)
 
-    @cached_property
-    def _reaches_single_cycle(self) -> list[bool]:
-        return self.scc.reaches(self.scc.single_cycle)
 
-    @cached_property
-    def _reaches_infinite_cycles(self) -> list[bool]:
-        return self.scc.reaches([k is OMEGA for k in self.scc.inner_edges])
+def _witness(g: Graph, scc: Condensation) -> list[list[str]]:
+    """Two distinct cycles of the first SCC (by least vertex) that is not a
+    single cycle: at its least vertex u with two inner concrete out-edges,
+    each of the first two of them (in bundle id, then index, order) closed
+    by a shortest return path to u."""
+    i = min(
+        (k for k, c in enumerate(scc.cyclic) if c and not scc.single_cycle[k]),
+        key=lambda k: scc.members[k][0],
+    )
+    for u in scc.members[i]:
+        firsts = [
+            (_address(e, k), e.dst)
+            for e in g.out_bundles(u)
+            if scc.component[e.dst] == i
+            for k in range(min(e.mult, 2))
+        ][:2]
+        if len(firsts) == 2:
+            break
+    return [list(_closed_by_return(g, scc, u, a, w, i).edges) for a, w in firsts]
 
-    @cached_property
-    def line_points(self) -> frozenset[str]:
-        """Cached here, since :meth:`corner_report` reads it once per vertex."""
-        return line_points(self.graph)
 
-    # -- the cycle pre-order -------------------------------------------------
+def _closed_by_return(g: Graph, scc: Condensation, u: str, address: str, w: str, i: int) -> Cycle:
+    """The cycle made of edge ``address`` (u -> w) and a shortest path from
+    w back to u inside SCC ``i``."""
+    comp = scc.component
+    via = {w: None}
+    todo = deque([w])
+    while u not in via:
+        x = todo.popleft()
+        for e in g.out_bundles(x):
+            if e.dst not in via and comp[e.dst] == i:
+                via[e.dst] = e
+                todo.append(e.dst)
+    back = []
+    x = u
+    while x != w:
+        e = via[x]
+        back.append(_address(e, 0))
+        x = e.src
+    return canonical_cycle(g, [address] + back[::-1])
 
-    @cached_property
-    def antisymmetric(self) -> bool:
-        _require_finitely_many_cycles(self.graph)
-        return all(s for c, s in zip(self.scc.cyclic, self.scc.single_cycle) if c)
 
-    @cached_property
-    def longest_chain(self) -> int | None:
-        if not self.antisymmetric:
-            return None
-        succ = self.scc.successors
-        depth = [0] * len(succ)
-        for i in reversed(range(len(succ))):
-            depth[i] = self.scc.cyclic[i] + max((depth[j] for j in succ[i]), default=0)
-        return max(depth, default=0)
+def _entry_paths(g: Graph, scc: Condensation, base: str, removed: AbstractSet[str]) -> Union[int, object]:
+    """The paths of the graph minus ``removed`` that end at ``base`` and
+    touch it only there, counted (OMEGA when there are infinitely many).
 
-    def cycle_poset(self, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
-        """The enumerated cycles, with the pre-order kept as per-SCC
-        reachability bitsets."""
-        g, comp, succ = self.graph, self.scc.component, self.scc.successors
-        cycles = tuple(enumerate_cycles(g, max_cycles))
-        reach = [0] * len(succ)  # bit j set: SCC j is reachable
-        for i in reversed(range(len(succ))):
-            bits = 1 << i
-            for j in succ[i]:
-                bits |= reach[j]
-            reach[i] = bits
-        at = tuple(comp[cycle_base(g, c)] for c in cycles)
-        return CyclePoset(
-            cycles,
-            self.antisymmetric,
-            self.longest_chain,
-            tuple(c for c, i in zip(cycles, at) if self._minimal[i]),
-            tuple(c for c, i in zip(cycles, at) if self.scc.no_exit[i]),
-            at,
-            tuple(reach),
-        )
-
-    @cached_property
-    def _minimal(self) -> list[bool]:
-        """Per SCC: whether it is cyclic and reaches no other cyclic SCC."""
-        cyclic = self.scc.cyclic
-        into_cyclic = [any(cyclic[j] for j in s) for s in self.scc.successors]
-        return [c and not r for c, r in zip(cyclic, self.scc.reaches(into_cyclic))]
-
-    def _scc_cycle(self, i: int) -> Cycle:
-        """The cycle of an SCC that is a single cycle."""
-        g, comp = self.graph, self.scc.component
-        start = v = self.scc.members[i][0]
-        edges = []
-        while True:
-            (e,) = [b for b in g.out_bundles(v) if comp[b.dst] == i]
-            edges.append(e.id)
-            v = e.dst
-            if v == start:
-                return canonical_cycle(g, edges)
-
-    def _witness(self) -> list[list[str]]:
-        """Two distinct cycles of the first SCC (by least vertex) that is not
-        a single cycle: at its least vertex u with two inner concrete
-        out-edges, each of the first two of them (in bundle id, then index,
-        order) closed by a shortest return path to u."""
-        g, scc = self.graph, self.scc
-        i = min(
-            (k for k, c in enumerate(self.scc.cyclic) if c and not self.scc.single_cycle[k]),
-            key=lambda k: scc.members[k][0],
-        )
-        for u in scc.members[i]:
-            firsts = [
-                (_address(e, k), e.dst)
-                for e in g.out_bundles(u)
-                if scc.component[e.dst] == i
-                for k in range(min(e.mult, 2))
-            ][:2]
-            if len(firsts) == 2:
-                break
-        return [list(self._closed_by_return(u, a, w, i).edges) for a, w in firsts]
-
-    def _closed_by_return(self, u: str, address: str, w: str, i: int) -> Cycle:
-        """The cycle made of edge ``address`` (u -> w) and a shortest path
-        from w back to u inside SCC ``i``."""
-        g, comp = self.graph, self.scc.component
-        via = {w: None}
-        todo = deque([w])
-        while u not in via:
-            x = todo.popleft()
-            for e in g.out_bundles(x):
-                if e.dst not in via and comp[e.dst] == i:
-                    via[e.dst] = e
-                    todo.append(e.dst)
-        back = []
-        x = u
-        while x != w:
-            e = via[x]
-            back.append(_address(e, 0))
-            x = e.src
-        return canonical_cycle(g, [address] + back[::-1])
-
-    # -- verdicts ------------------------------------------------------------
-
-    def fp_verdict(self) -> FpVerdict:
-        for e in self.graph.edges:
-            if e.mult is OMEGA:
-                return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": e.id},))
-        if not any(self.scc.cyclic):
-            return FpVerdict(True, ({"code": OK_ACYCLIC, "witness": None},))
-        notes = (
-            "the cycle pre-order on a finite graph is artinian once antisymmetric",
-            "every infinite path in a finite graph eventually winds around a cycle "
-            "or reaches a line point, so the infinite-path condition holds",
-        )
-        if not self.antisymmetric:
-            return FpVerdict(
-                False, ({"code": GEQ_NOT_ANTISYMMETRIC, "witness": self._witness()},), notes
-            )
-        return FpVerdict(True, ({"code": OK_CYCLIC, "witness": None},), notes)
-
-    def gk_verdict(self) -> GkVerdict:
-        notes = ()
-        if not self.graph.is_row_finite():
-            notes = ("graph has infinite bundles; verdict covers the listed structure only",)
-        if not self.antisymmetric:
-            return GkVerdict(False, None, None, self._witness(), notes)
-        d = self.longest_chain
-        return GkVerdict(True, d, 2 * d - 1 if d > 0 else 0, None, notes)
-
-    def corner_report(self, v: str) -> CornerReport:
-        """The tree of ``v`` is the union of the SCCs reachable from v's SCC."""
-        i = self.scc.component[self.graph.require_vertex(v)]
-        if self._reaches_infinite_cycles[i]:
-            _require_finitely_many_cycles(self.graph, self.graph.reachable([v]))
-        return CornerReport(
-            v,
-            v in self.line_points,
-            self.scc.no_exit[i],
-            not self._reaches_cyclic[i],
-            not self._reaches_no_exit[i],
-            not self._reaches_single_cycle[i],
-        )
-
-    # -- filtrations ---------------------------------------------------------
-
-    def entry_paths(self, base: str, removed: AbstractSet[str]) -> Union[int, object]:
-        """The paths of the graph minus ``removed`` that end at ``base`` and
-        touch it only there, counted (OMEGA when there are infinitely many).
-
-        One reverse search collects the vertices that reach the base, then
-        the paths are counted in topological order; a closed path among
-        those vertices, or an infinite bundle between them, makes the count
-        OMEGA.
-        """
-        g, comp = self.graph, self.scc.component
-        home = comp[base]
-        reach = {base}
-        todo = [base]
-        while todo:
-            for e in g.in_bundles(todo.pop()):
-                s = e.src
-                if s in reach or s in removed:
-                    continue
-                if comp[s] != home and self.scc.cyclic[comp[s]]:
-                    return OMEGA  # another cycle feeds the base
-                reach.add(s)
-                todo.append(s)
-        pending = {}  # per vertex: bundles into reach - {base} not yet counted
-        for v in reach - {base}:
-            pending[v] = 0
-            for e in g.out_bundles(v):
-                if e.dst in reach:
-                    if e.mult is OMEGA:
-                        return OMEGA
-                    if e.dst != base:
-                        pending[v] += 1
-        ways = {base: 1}
-        total = 1  # the length-0 path at the base
-        ready = [v for v, k in pending.items() if k == 0]
-        while ready:
-            v = ready.pop()
-            ways[v] = n = sum(e.mult * ways[e.dst] for e in g.out_bundles(v) if e.dst in reach)
-            total += n
-            for e in g.in_bundles(v):
-                if e.src in pending:
-                    pending[e.src] -= 1
-                    if pending[e.src] == 0:
-                        ready.append(e.src)
-        if len(ways) < len(reach):
-            return OMEGA  # a closed path avoiding the base feeds it
-        return total
-
-    def fp_filtration(self) -> Filtration:
-        verdict = self.fp_verdict()
-        if not verdict.all_finitely_presented:
-            raise NotSupportedError(
-                f"not every simple module is finitely presented: {verdict.codes()}"
-            )
-        g = self.graph
-        q = _Quotient(self)
-        q.grow(self.line_points)
-        chain = [HSSet(frozenset(q.closure.vertices), self.line_points)]
-        layers: list[Layer] = [SocleLayer(chain[0].vertices)]
-        while len(q.closure.vertices) < len(g.vertices):
-            c = min(q.no_exit_cycles(), key=Cycle.sort_key)
-            card = self.entry_paths(cycle_base(g, c), q.closure.vertices)
-            cycle = cycle_vertices(g, c)
-            q.grow(cycle)
-            chain.append(HSSet(frozenset(q.closure.vertices), chain[-1].vertices | cycle))
-            layers.append(LaurentMatrixLayer(c, card))
-        return Filtration(tuple(chain), tuple(layers))
-
-    def gk_filtration(self) -> Filtration:
-        g = self.graph
-        if not self.gk_verdict().finite:
-            raise NotSupportedError("growth is not polynomially bounded")
-        if not g.is_row_finite():
-            raise NotSupportedError("filtrations require a row-finite graph")
-        comp = self.scc.component
-        exit_targets = frozenset(
-            e.dst
-            for i, vs in enumerate(self.scc.members)
-            if self._minimal[i]
-            for v in vs
-            for e in g.out_bundles(v)
-            if comp[e.dst] != i
-        )
-        q = _Quotient(self)
-        q.grow(exit_targets)
-        chain: list[HSSet] = []
-        layers: list[Layer] = []
-        if q.closure.vertices:
-            chain.append(HSSet(frozenset(q.closure.vertices), exit_targets))
-            layers.append(VnrLayer(chain[0].vertices))
-        while len(q.closure.vertices) < len(g.vertices):
-            acyclic = q.take_acyclic()
-            no_exit = sorted(q.no_exit_cycles(), key=Cycle.sort_key)
-            added = set(acyclic)
-            for c in no_exit:
-                added |= cycle_vertices(g, c)
-            laurent = tuple(
-                LaurentMatrixLayer(c, self.entry_paths(cycle_base(g, c), q.closure.vertices))
-                for c in no_exit
-            )
-            if acyclic and laurent:
-                layer: Layer = MixedLayer(acyclic, laurent)
-            elif laurent and len(laurent) == 1:
-                layer = laurent[0]
-            elif laurent:
-                layer = MixedLayer(frozenset(), laurent)
-            else:
-                layer = VnrLayer(acyclic)
-            seed = frozenset(q.closure.vertices) | added
-            q.grow(added)
-            chain.append(HSSet(frozenset(q.closure.vertices), seed))
-            layers.append(layer)
-        if not chain:
-            # graph with no vertices at all
-            chain = [saturated_closure(g, ())]
-            layers = [VnrLayer(frozenset())]
-        return Filtration(tuple(chain), tuple(layers))
+    One reverse search collects the vertices that reach the base, then the
+    paths are counted in topological order; a closed path among those
+    vertices, or an infinite bundle between them, makes the count OMEGA.
+    """
+    comp = scc.component
+    home = comp[base]
+    reach = {base}
+    todo = [base]
+    while todo:
+        for e in g.in_bundles(todo.pop()):
+            s = e.src
+            if s in reach or s in removed:
+                continue
+            if comp[s] != home and scc.cyclic[comp[s]]:
+                return OMEGA  # another cycle feeds the base
+            reach.add(s)
+            todo.append(s)
+    pending = {}  # per vertex: bundles into reach - {base} not yet counted
+    for v in reach - {base}:
+        pending[v] = 0
+        for e in g.out_bundles(v):
+            if e.dst in reach:
+                if e.mult is OMEGA:
+                    return OMEGA
+                if e.dst != base:
+                    pending[v] += 1
+    ways = {base: 1}
+    total = 1  # the length-0 path at the base
+    ready = [v for v, k in pending.items() if k == 0]
+    while ready:
+        v = ready.pop()
+        ways[v] = n = sum(e.mult * ways[e.dst] for e in g.out_bundles(v) if e.dst in reach)
+        total += n
+        for e in g.in_bundles(v):
+            if e.src in pending:
+                pending[e.src] -= 1
+                if pending[e.src] == 0:
+                    ready.append(e.src)
+    if len(ways) < len(reach):
+        return OMEGA  # a closed path avoiding the base feeds it
+    return total
 
 
 def _address(e, k: int) -> str:
@@ -638,18 +545,18 @@ class _Quotient:
     of the quotient).  Growing H from empty to everything costs O(V + E).
     """
 
-    def __init__(self, a: GraphAnalysis):
-        self.a = a
-        scc = a.scc
+    def __init__(self, g: Graph, scc: Condensation):
+        self.graph = g
+        self.scc = scc
         n = len(scc.members)
-        self.closure = SaturatedClosure(a.graph)
+        self.closure = SaturatedClosure(g)
         self.in_h = [False] * n
         self.exits = [0] * n
-        for e in a.graph.edges:
+        for e in g.edges:
             i = scc.component[e.src]
             if i != scc.component[e.dst]:
                 self.exits[i] += 1
-        self.no_exit = {i for i in range(n) if a.scc.single_cycle[i] and not self.exits[i]}
+        self.no_exit = {i for i in range(n) if scc.single_cycle[i] and not self.exits[i]}
         self.preds: list[list[int]] = [[] for _ in range(n)]
         for i, succ in enumerate(scc.successors):
             for j in succ:
@@ -658,7 +565,7 @@ class _Quotient:
         self.done = [False] * n  # in H, or outside H and reaching no cycle outside H
         self.acyclic: list[int] = []  # SCCs done since the last take_acyclic
         for i in range(n):
-            if not self.live[i] and not a.scc.cyclic[i]:
+            if not self.live[i] and not scc.cyclic[i]:
                 self._finish(i)
 
     def _finish(self, i: int) -> None:
@@ -671,19 +578,19 @@ class _Quotient:
             self.acyclic.append(k)
             for p in self.preds[k]:
                 self.live[p] -= 1
-                if not self.live[p] and not self.a.scc.cyclic[p]:
+                if not self.live[p] and not self.scc.cyclic[p]:
                     todo.append(p)
 
     def grow(self, seed) -> None:
         """Close H over ``seed``."""
-        g, comp = self.a.graph, self.a.scc.component
+        g, comp = self.graph, self.scc.component
         added = self.closure.add(seed)
         for x in added:
             for e in g.in_bundles(x):
                 i = comp[e.src]
                 if i != comp[x]:
                     self.exits[i] -= 1
-                    if not self.exits[i] and self.a.scc.single_cycle[i]:
+                    if not self.exits[i] and self.scc.single_cycle[i]:
                         self.no_exit.add(i)
         for i in {comp[x] for x in added}:
             self.in_h[i] = True
@@ -691,11 +598,11 @@ class _Quotient:
 
     def take_acyclic(self) -> frozenset[str]:
         """The acyclic vertices of the quotient (those reaching no cycle)."""
-        members = self.a.scc.members
+        members = self.scc.members
         found = frozenset(v for i in self.acyclic if not self.in_h[i] for v in members[i])
         self.acyclic = []
         return found
 
     def no_exit_cycles(self) -> list[Cycle]:
         self.no_exit = {i for i in self.no_exit if not self.in_h[i]}
-        return [self.a._scc_cycle(i) for i in self.no_exit]
+        return [_scc_cycle(self.graph, self.scc, i) for i in self.no_exit]

@@ -24,7 +24,7 @@ from leavitt import (
     tree,
     vertices_on_closed_paths,
 )
-from leavitt.closures import _fresh
+from leavitt.closures import _entering_paths_finite, _enumerate_entering_paths, _fresh, _relevant_vertices
 from leavitt.fixtures import (
     add_edges,
     g_clock,
@@ -36,7 +36,7 @@ from leavitt.fixtures import (
     g_toeplitz,
     random_graph,
 )
-from leavitt.graph import OMEGA, _addresses, bundle_addresses
+from leavitt.graph import OMEGA, Path, _addresses, bundle_addresses
 
 
 def test_hereditary_closure_examples():
@@ -321,3 +321,75 @@ def test_subalgebra_graph_cost_does_not_follow_the_multiplicity():
     ef = subalgebra_graph(g, ["c[0]"])
     assert time.perf_counter() - start < 0.5
     assert set(ef.vertices) == {"c[0]", "v"}
+
+
+def _old_enumerate_entering_paths(g, h, s, depth_bound, complete):
+    """``_enumerate_entering_paths`` as it was when it listed every concrete
+    address of every bundle up front, kept verbatim as the oracle."""
+    targets = h | s
+    relevant = _relevant_vertices(g, h, targets)
+    f1: list[Path] = []
+    f2: list[Path] = []
+
+    # moves[u] = the concrete steps from u that can still reach targets
+    moves = {
+        u: [
+            (addr, e.dst)
+            for e in g.out_bundles(u)
+            if e.dst in targets or e.dst in relevant
+            for addr in ([f"{e.id}[0]"] if e.mult is OMEGA else _addresses(e))
+        ]
+        for u in relevant
+    }
+    # depth-first with an explicit stack; chain is the path to the top frame,
+    # a valid chain by construction, so each found path is built directly
+    for v in sorted(relevant):
+        chain: list[str] = []
+        work = [iter(moves[v])]
+        while work:
+            for addr, dst in work[-1]:
+                chain.append(addr)
+                if dst in h:
+                    f1.append(Path(v, tuple(chain)))
+                else:
+                    if dst in s:
+                        f2.append(Path(v, tuple(chain)))
+                    if complete or len(chain) < depth_bound:
+                        work.append(iter(moves[dst]))
+                        break
+                chain.pop()
+            else:
+                work.pop()
+                if work:
+                    chain.pop()
+    return f1, f2
+
+
+def test_entering_paths_match_the_address_listing_walk():
+    rng = random.Random(31)
+    for _ in range(1500):
+        g = random_graph(rng, max_vertices=5, max_edges=8)
+        edges = [Edge(e.id, e.src, e.dst, rng.choice((1, 1, 2, 3))) for e in g.edges]
+        if edges and rng.random() < 0.2:
+            e = rng.choice(edges)
+            edges[edges.index(e)] = Edge(e.id, e.src, e.dst, OMEGA)
+        g = Graph(g.vertices, edges)
+        h = hereditary_closure(g, rng.sample(g.vertices, rng.randint(1, len(g.vertices))))
+        breaking = sorted(breaking_vertices(g, h))
+        s = frozenset(rng.sample(breaking, rng.randint(0, len(breaking))))
+        complete = _entering_paths_finite(g, h, h | s)
+        depth = rng.randint(1, 4)
+        assert _enumerate_entering_paths(g, h, s, depth, complete) == _old_enumerate_entering_paths(
+            g, h, s, depth, complete
+        )
+
+
+def test_hedgehog_cost_does_not_follow_the_multiplicity():
+    # a loop of multiplicity 10**6 outside h: at depth 1 only v -> w counts
+    g = Graph(["v", "w"], [Edge("c", "v", "v", 10**6), Edge("e", "v", "w")])
+    start = time.perf_counter()
+    res = hedgehog(g, ["w"], depth_bound=1)
+    assert time.perf_counter() - start < 0.1
+    assert res.complete is False
+    assert res.graph == Graph(["e", "w"], [Edge("~e", "e", "w")])
+    assert res.path_vertices == (("e", Path("v", ("e",))),)

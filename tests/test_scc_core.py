@@ -9,19 +9,27 @@ import time
 from pathlib import Path
 
 import leavitt
+import pytest
+
 from leavitt import (
+    OMEGA,
     Edge,
     Graph,
+    InfinitelyManyCyclesError,
     canonical_cycle,
+    corner_report,
+    cycle_poset,
     decide_fp,
     decide_gk,
     enumerate_cycles,
+    fp_filtration,
     graph_to_json,
     laurent_index_cardinality,
+    line_points,
 )
 from leavitt import graph as graph_mod
 from leavitt.cli import main
-from leavitt.fixtures import g_loop_chain_with_sink
+from leavitt.fixtures import g_line, g_loop_chain_with_sink
 
 
 def ring(n: int) -> Graph:
@@ -127,6 +135,58 @@ def test_one_report_runs_tarjan_once(tmp_path, capsys, monkeypatch):
     assert main(["report", str(path)]) == 0
     capsys.readouterr()
     assert len(runs) == 1
+
+
+def test_questions_about_one_graph_run_tarjan_once(monkeypatch):
+    runs = []
+    tarjan = graph_mod._tarjan
+
+    def counted(g):
+        runs.append(g)
+        return tarjan(g)
+
+    monkeypatch.setattr(graph_mod, "_tarjan", counted)
+    g = g_loop_chain_with_sink(5)
+    assert decide_fp(g).all_finitely_presented
+    assert decide_gk(g).longest_chain == 5
+    assert len(cycle_poset(g).cycles) == 5
+    assert [corner_report(g, v).vertex for v in g.vertices] == list(g.vertices)
+    assert len(fp_filtration(g).layers) == 6
+    assert line_points(g) == {"w"}
+    assert runs == [g]
+
+
+def test_corner_reports_of_every_vertex_share_one_analysis():
+    g = g_line(2000)
+    start = time.perf_counter()
+    reports = [corner_report(g, v) for v in g.vertices]
+    assert time.perf_counter() - start < 1.0
+    assert all(r.is_line_point and r.acyclic for r in reports)
+
+
+def test_corner_report_names_the_least_infinite_bundle_it_reaches():
+    # infinite loops in three SCCs: {x} holds a, {y} holds k and m, {t} e6
+    g = Graph(
+        ["u", "v", "w", "x", "y", "t", "z"],
+        [
+            Edge("a", "x", "x", OMEGA),
+            Edge("m", "y", "y", OMEGA),
+            Edge("k", "y", "y", OMEGA),
+            Edge("e6", "t", "t", OMEGA),
+            Edge("e1", "v", "y"),
+            Edge("e2", "v", "w"),
+            Edge("e3", "w", "x"),
+            Edge("e4", "u", "y"),
+            Edge("e5", "u", "t"),
+        ],
+    )
+    named = {"u": "e6", "v": "a", "w": "a", "x": "a", "y": "k", "t": "e6"}
+    for v, bundle in named.items():
+        with pytest.raises(InfinitelyManyCyclesError, match=f"^infinite bundle '{bundle}' lies on a closed path$"):
+            corner_report(g, v)
+    assert corner_report(g, "z").is_line_point
+    with pytest.raises(InfinitelyManyCyclesError, match="^infinite bundle 'a' "):
+        decide_gk(g)
 
 
 def test_no_function_in_the_package_imports():
