@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatchError, NotSupportedError, ResourceCapError
 from .graph import (
@@ -509,14 +509,29 @@ class AlgebraElement:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("operands belong to different algebra contexts")
 
+    @staticmethod
+    def sum(elements: Sequence["AlgebraElement"]) -> "AlgebraElement":
+        """The sum of one or more elements of one context.
+
+        The terms go into one map over one common denominator, which is
+        reduced once, so the cost is linear in the terms; folding ``+``
+        would copy the accumulated map at every step.
+        """
+        first = elements[0]
+        if len(elements) == 1:
+            return first
+        for x in elements:
+            first._check(x)
+        d = math.lcm(*(x._den for x in elements))
+        acc: dict[tuple, int] = {}
+        for x in elements:
+            s = d // x._den
+            for k, n in x._flat.items():
+                acc[k] = acc.get(k, 0) + n * s
+        return AlgebraElement._make(first.ctx, *first.ctx.field.reduce(acc, d))
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        d = math.lcm(self._den, other._den)
-        acc = {k: n * (d // self._den) for k, n in self._flat.items()}
-        s = d // other._den
-        for k, n in other._flat.items():
-            acc[k] = acc.get(k, 0) + n * s
-        return AlgebraElement._make(self.ctx, *self.ctx.field.reduce(acc, d))
+        return AlgebraElement.sum((self, other))
 
     def __neg__(self) -> "AlgebraElement":
         acc = {k: -n for k, n in self._flat.items()}

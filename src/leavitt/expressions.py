@@ -71,15 +71,15 @@ class _Parser:
         return t
 
     def element(self) -> AlgebraElement:
-        total = self.term()
+        terms = [self.term()]
         while (t := self.peek()) is not None and t.kind in "+-":
             self.take()
             rhs = self.term()
-            total = total + rhs if t.kind == "+" else total - rhs
+            terms.append(rhs if t.kind == "+" else -rhs)
         if self.peek() is not None:
             t = self.peek()
             raise ExpressionError(f"trailing input at position {t.pos}: {t.text!r}")
-        return total
+        return AlgebraElement.sum(terms)
 
     def term(self) -> AlgebraElement:
         coeff = None

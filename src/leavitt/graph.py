@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -67,49 +68,66 @@ class Edge:
 class Graph:
     """A finite directed graph with multiplicity-labelled edge bundles."""
 
-    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_pred", "_scc")
+    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_scc")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
-        vs = tuple(sorted(vertices))
-        if len(set(vs)) != len(vs):
+        vs = tuple(vertices)
+        if not all(isinstance(v, str) for v in vs):
+            raise SchemaError('"vertices" must be a list of strings')
+        vs = tuple(sorted(vs))
+        vset = set(vs)
+        if len(vset) != len(vs):
             raise SchemaError("duplicate vertex ids")
         norm = []
         for e in edges:
             if not isinstance(e, Edge):
-                e = Edge(*e)
-            if not (e.mult is OMEGA or (isinstance(e.mult, int) and e.mult >= 1)):
+                try:
+                    e = Edge(*e)
+                except TypeError:
+                    raise SchemaError("each edge must be an Edge or an (id, src, dst[, mult]) tuple") from None
+            if not (isinstance(e.id, str) and isinstance(e.src, str) and isinstance(e.dst, str)):
+                raise SchemaError("edge id/src/dst must be strings")
+            m = e.mult
+            if not (m is OMEGA or (isinstance(m, int) and not isinstance(m, bool) and m >= 1)):
                 raise SchemaError(f"edge {e.id!r}: multiplicity must be a positive integer or omega")
             norm.append(e)
-        es = tuple(sorted(norm, key=lambda e: e.id))
-        ids = [e.id for e in es]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("duplicate edge ids")
-        if set(ids) & set(vs):
-            raise SchemaError("vertex and edge ids must be distinct")
-        vset = set(vs)
-        for e in es:
-            if e.src not in vset or e.dst not in vset:
-                raise SchemaError(f"edge {e.id!r} has undeclared endpoint")
+        norm.sort(key=attrgetter("id"))
+        es = tuple(norm)
         by_id = {e.id: e for e in es}
+        if len(by_id) != len(es):
+            raise SchemaError("duplicate edge ids")
+        if not vset.isdisjoint(by_id):
+            raise SchemaError("vertex and edge ids must be distinct")
+        # one pass in id order: the first edge with an undeclared endpoint raises
+        out: dict[str, list[Edge]] = {v: [] for v in vs}
+        inc: dict[str, list[Edge]] = {v: [] for v in vs}
+        for e in es:
+            try:
+                out[e.src].append(e)
+                inc[e.dst].append(e)
+            except KeyError:
+                raise SchemaError(f"edge {e.id!r} has undeclared endpoint") from None
         # every concrete edge has one address: no edge or vertex id may also
         # be the address of an edge of another bundle
-        for kind, xids in (("edge", ids), ("vertex", vs)):
+        for kind, xids in (("edge", by_id), ("vertex", vs)):
             for xid in xids:
                 owner = _addressed_bundle(xid, by_id) if "]" in xid else None
                 if owner is not None:
                     raise SchemaError(f"{kind} id {xid!r} is the address of an edge of bundle {owner!r}")
+        # successors in sorted order without a sort: visiting the targets in
+        # sorted order appends each to its sources' lists, once per source
+        succ: dict[str, list[str]] = {v: [] for v in vs}
+        for w in vs:
+            for e in inc[w]:
+                ws = succ[e.src]
+                if not ws or ws[-1] != w:
+                    ws.append(w)
         self.vertices = vs
         self.edges = es
-        out: dict[str, list[Edge]] = {v: [] for v in vs}
-        inc: dict[str, list[Edge]] = {v: [] for v in vs}
-        for e in es:
-            out[e.src].append(e)
-            inc[e.dst].append(e)
         self._out = {v: tuple(bs) for v, bs in out.items()}
         self._in = {v: tuple(bs) for v, bs in inc.items()}
         self._by_id = by_id
-        self._succ = {v: tuple(sorted({e.dst for e in bs})) for v, bs in out.items()}
-        self._pred = {v: tuple(sorted({e.src for e in bs})) for v, bs in inc.items()}
+        self._succ = {v: tuple(ws) for v, ws in succ.items()}
 
     def __setattr__(self, name, value):
         if hasattr(self, "_by_id") and name in self.__slots__ and hasattr(self, name):
@@ -390,7 +408,8 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
 
 
 def is_regular(g: Graph, v: str) -> bool:
-    return classify_vertex(g, v).kind == REGULAR
+    d = g.out_degree(v)
+    return d is not OMEGA and d > 0
 
 
 # ---------------------------------------------------------------------------
@@ -549,30 +568,35 @@ def condensation(g: Graph) -> Condensation:
 
 
 def _tarjan(g: Graph) -> Condensation:
-    """Tarjan's SCC algorithm with an explicit stack: O(V + E)."""
+    """Tarjan's SCC algorithm with an explicit stack: O(V + E).
+
+    A vertex is on the stack while it has an index and no SCC yet.  When
+    its SCC is popped its index becomes ``done``, which is above every
+    low-link, so an edge into a finished SCC lowers nothing.
+    """
+    done = len(g.vertices)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
-    on_stack: set[str] = set()
     found: list[list[str]] = []  # SCCs, each after every SCC it reaches
     for root in g.vertices:
         if root in index:
             continue
         index[root] = low[root] = len(index)
+        # a frame: the vertex, its unread successors, its place on the stack
+        work = [(root, iter(g._succ[root]), len(stack))]
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(g._succ[root]))]
         while work:
-            v, succ = work[-1]
+            v, succ, at = work[-1]
             for w in succ:
-                if w not in index:
+                i = index.get(w)
+                if i is None:
                     index[w] = low[w] = len(index)
+                    work.append((w, iter(g._succ[w]), len(stack)))
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g._succ[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
+                if i < low[v]:
+                    low[v] = i
             else:
                 work.pop()
                 if work:
@@ -580,13 +604,10 @@ def _tarjan(g: Graph) -> Condensation:
                     if low[v] < low[u]:
                         low[u] = low[v]
                 if low[v] == index[v]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        scc.append(w)
-                        if w == v:
-                            break
+                    scc = stack[at:]
+                    del stack[at:]
+                    for w in scc:
+                        index[w] = done
                     found.append(scc)
     n = len(found)
     component = {v: n - 1 - i for i, scc in enumerate(found) for v in scc}
@@ -675,7 +696,7 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
         rank, home = order[root], component[root]
         # the walk closes only along an edge into root from root itself or
         # from a higher-ordered vertex of its SCC
-        if not any(order[u] >= rank and component[u] == home for u in g._pred[root]):
+        if not any(order[e.src] >= rank and component[e.src] == home for e in g._in[root]):
             continue
         visited = {root}
         steps: list[tuple[str, str]] = []  # the current path, one step per frame below root
@@ -738,6 +759,9 @@ def graph_to_obj(g: Graph) -> dict:
     return {"vertices": list(g.vertices), "edges": edges}
 
 
+_EDGE_KEYS = frozenset(("id", "src", "dst", "mult"))
+
+
 def graph_from_obj(obj) -> Graph:
     """Validate a JSON object against the graph schema and build the graph."""
     if not isinstance(obj, dict):
@@ -755,14 +779,13 @@ def graph_from_obj(obj) -> Graph:
     for item in edges:
         if not isinstance(item, dict):
             raise SchemaError("each edge must be an object")
-        extra = set(item) - {"id", "src", "dst", "mult"}
-        if extra:
-            raise SchemaError(f"edge has unexpected keys: {sorted(extra)}")
+        if not item.keys() <= _EDGE_KEYS:
+            raise SchemaError(f"edge has unexpected keys: {sorted(item.keys() - _EDGE_KEYS)}")
         try:
             eid, src, dst = item["id"], item["src"], item["dst"]
         except KeyError as k:
             raise SchemaError(f"edge missing key {k}") from None
-        if not all(isinstance(x, str) for x in (eid, src, dst)):
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
             raise SchemaError("edge id/src/dst must be strings")
         mult = item.get("mult", 1)
         if mult == "omega":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -77,3 +78,41 @@ def test_vertex_factors_cost_no_scan_of_the_vertices():
     x = parse_expression(".".join([last] * 500), ctx)
     assert time.perf_counter() - start < 0.25
     assert x == ctx.vertex(last)
+
+
+def test_long_sum_parses_in_linear_time():
+    # the terms are added into one map and reduced once: folding `+` copied
+    # the accumulated map at every step, and 4000 terms took about 2.4 s
+    g = g_line(4000)
+    ctx = AlgebraContext(g)
+    start = time.perf_counter()
+    x = parse_expression(" + ".join(g.vertices), ctx)
+    assert time.perf_counter() - start < 0.5
+    assert x.terms == {m: 1 for v in g.vertices for m in ctx.vertex(v).terms}
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(7)])
+def test_sum_equals_the_left_fold_of_its_terms(field):
+    ctx = AlgebraContext(g_toeplitz()) if field is None else AlgebraContext(g_toeplitz(), field)
+    # products that normalize at v1 (special edge c), so terms overlap and cancel
+    factors = ["v1", "v2", "c", "e", "c*", "e*", "c.c*", "e.e*", "c.e", "e*.c*", "c.c.c*", "c.e.e*.c*"]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            scalar = rng.choice(["", "2 ", "1/2 ", "3/4 ", "5/3 ", "7 "])
+            terms.append(scalar + rng.choice(factors))
+        ops = [rng.choice("+-") for _ in terms[1:]]
+        text = terms[0] + "".join(f" {op} {t}" for op, t in zip(ops, terms[1:]))
+        parts = [parse_expression(t, ctx) for t in terms]
+        fold = parts[0]
+        for op, x in zip(ops, parts[1:]):
+            fold = fold + x if op == "+" else fold - x
+        # and without the element arithmetic: the scalars of the term maps
+        expected: dict = {}
+        for sign, x in zip([1] + [1 if op == "+" else -1 for op in ops], parts):
+            for m, c in x.terms.items():
+                expected[m] = ctx.field.coerce(expected.get(m, 0) + sign * c)
+        got = parse_expression(text, ctx)
+        assert got == fold, text
+        assert dict(got.terms) == {m: c for m, c in expected.items() if c != ctx.field.zero}, text

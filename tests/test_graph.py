@@ -190,6 +190,17 @@ def test_graph_schema_errors():
         graph_from_obj({"vertices": ["a"], "edges": [], "extra": 1})
     with pytest.raises(SchemaError):
         graph_from_json("{not json")
+    # the library constructor raises SchemaError too, never TypeError
+    with pytest.raises(SchemaError, match='"vertices" must be a list of strings'):
+        Graph(["a", 1], [])
+    with pytest.raises(SchemaError, match="edge id/src/dst must be strings"):
+        Graph(["a"], [Edge(1, "a", "a")])
+    with pytest.raises(SchemaError, match="each edge must be an Edge"):
+        Graph(["a"], [("e", "a")])
+    with pytest.raises(SchemaError, match="multiplicity must be a positive integer"):
+        Graph(["a"], [Edge("e", "a", "a", True)])
+    with pytest.raises(SchemaError, match="mult must be a positive integer"):
+        graph_from_obj({"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": "a", "mult": True}]})
 
 
 def test_clock_classification():
