@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ContextMismatchError, NotSupportedError, ResourceCapError
+from .errors import ContextMismatchError, NotSupportedError, ResourceCapError, SchemaError
 from .graph import (
     OMEGA,
     Graph,
@@ -50,7 +50,10 @@ class Rationals:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise NotSupportedError(f"cannot coerce {x!r} to a rational scalar")
 
     def add(self, a, b):
@@ -153,16 +156,23 @@ class PrimeField:
         self.one = 1 % p
 
     def coerce(self, x) -> int:
+        """``x`` mod p; a fraction whose denominator p divides has no value."""
+        p = self.p
         if isinstance(x, int):
-            return x % self.p
-        if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/", 1)
-                return self.mul(int(num) % self.p, self.invert(int(den) % self.p))
-            return int(x) % self.p
+            return x % p
         if isinstance(x, Fraction):
-            return self.mul(x.numerator % self.p, self.invert(x.denominator % self.p))
-        raise NotSupportedError(f"cannot coerce {x!r} into GF({self.p})")
+            num, den = x.numerator, x.denominator
+        elif isinstance(x, str):
+            num, sep, den = x.partition("/")
+            try:
+                num, den = int(num), int(den) if sep else 1
+            except ValueError:
+                raise NotSupportedError(f"cannot coerce {x!r} into GF({p})") from None
+        else:
+            raise NotSupportedError(f"cannot coerce {x!r} into GF({p})")
+        if den % p == 0:
+            raise NotSupportedError(f"the scalar {x} has no value in GF({p}): {p} divides its denominator")
+        return self.mul(num % p, self.invert(den % p))
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -582,6 +592,9 @@ class AlgebraElement:
         return out
 
 
+_TERM_KEYS = frozenset(("p", "q", "coeff"))
+
+
 def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
     """Rebuild an element from its serialized term list.
 
@@ -589,11 +602,19 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
     together over one common denominator and reduced once.
     """
     g = ctx.graph
+    if not isinstance(obj, list):
+        raise SchemaError("an element must be a list of terms")
     pairs = []
     coeffs = []
     for item in obj:
+        if not (isinstance(item, dict) and _TERM_KEYS <= item.keys()):
+            raise SchemaError('each term must be an object with "p", "q" and "coeff"')
         p_edges, q_edges = item["p"], item["q"]
+        if not all(isinstance(es, list) and all(isinstance(a, str) for a in es) for es in (p_edges, q_edges)):
+            raise SchemaError('"p" and "q" of a term must be lists of edge addresses')
         if not p_edges and not q_edges:
+            if not isinstance(item.get("v"), str):
+                raise SchemaError('a vertex term needs its vertex id "v"')
             p = Path(g.require_vertex(item["v"]))
             q = p
         else:

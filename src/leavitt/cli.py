@@ -79,12 +79,13 @@ def _field(name: str):
         raise InputError(f"unknown field {name!r}; use 'q' or a prime number") from None
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
 def _vertex_list(text: str) -> list[str]:
     return [v for v in text.replace(",", " ").split() if v]
+
+
+def _socle(g: Graph, args) -> dict:
+    lp = sorted(line_points(g))
+    return {"linePoints": lp, "socleVertices": sorted(saturated_closure(g, lp).vertices)}
 
 
 def _report(g: Graph, args) -> dict:
@@ -93,8 +94,7 @@ def _report(g: Graph, args) -> dict:
     for v in g.vertices:
         c = classify_vertex(g, v)
         classes[v] = {"class": c.kind, "outDegree": c.out_degree}
-    lp = sorted(line_points(g))
-    socle = sorted(saturated_closure(g, lp).vertices)
+    socle = _socle(g, args)
     return {
         "version": __version__,
         "summary": {
@@ -105,8 +105,7 @@ def _report(g: Graph, args) -> dict:
             "conditionK": condition_K(g),
         },
         "vertexClasses": classes,
-        "linePoints": lp,
-        "socleVertices": socle,
+        **socle,
         "cyclePoset": {
             "cycles": [list(c.edges) for c in cp.cycles],
             "antisymmetric": cp.antisymmetric,
@@ -120,84 +119,129 @@ def _report(g: Graph, args) -> dict:
     }
 
 
-def _cmd(args) -> None:
-    g = _read_graph(args.graph)
-    cmd = args.command
-    if cmd == "validate":
-        _emit({"ok": True, "vertices": len(g.vertices), "edgeBundles": len(g.edges)})
-    elif cmd == "report":
-        _emit(_report(g, args))
-    elif cmd == "fp":
-        _emit(decide_fp(g).to_obj())
-    elif cmd == "gk":
-        _emit(decide_gk(g).to_obj())
-    elif cmd == "socle":
-        lp = sorted(line_points(g))
-        _emit({"linePoints": lp, "socleVertices": sorted(saturated_closure(g, lp).vertices)})
-    elif cmd == "closure":
-        h = saturated_closure(g, _vertex_list(args.seed))
-        _emit({
-            "generatedFrom": sorted(h.generated_from),
-            "vertices": sorted(h.vertices),
-            "breakingVertices": sorted(breaking_vertices(g, h.vertices)),
-        })
-    elif cmd == "hs-sets":
-        sets = enumerate_hs_sets(g, args.max_vertices_hs)
-        _emit({"count": len(sets), "sets": [sorted(h.vertices) for h in sets]})
-    elif cmd == "quotient":
-        _emit(graph_to_obj(quotient(g, _vertex_list(args.h), _vertex_list(args.s))))
-    elif cmd == "hedgehog":
-        res = hedgehog(g, _vertex_list(args.h), _vertex_list(args.s), args.depth)
-        _emit({
-            "graph": graph_to_obj(res.graph),
-            "complete": res.complete,
-            "depthBound": res.depth_bound,
-            "pathVertices": {vid: list(p.edges) for vid, p in res.path_vertices},
-        })
-    elif cmd == "ef":
-        _emit(graph_to_obj(subalgebra_graph(g, _vertex_list(args.edges))))
-    elif cmd == "corner":
-        _emit(corner_report(g, args.vertex).to_obj())
-    elif cmd == "filtration":
-        if args.kind == "fp":
-            filt = fp_filtration(g)
-        else:
-            filt = gk_filtration(g)
-        _emit(filt.to_obj())
-    elif cmd == "eval":
-        ctx = AlgebraContext(g, _field(args.field))
-        _emit({"terms": parse_expression(args.expr, ctx).to_obj()})
-    elif cmd == "growth":
-        _emit(growth_profile(AlgebraContext(g), args.n))
-    elif cmd == "act":
-        ctx = AlgebraContext(g, _field(args.field))
-        x = parse_expression(args.expr, ctx)
-        if args.module == "chen":
-            try:
-                desc = json.loads(args.stream)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed stream descriptor: {exc}") from None
-            stream = stream_from_obj(g, desc)
-            start = chen_basis_element(g, stream)
-            vec = chen_act(ctx, x, {start: ctx.field.one})
-            terms = [
-                {
-                    "prefix": list(k.prefix.edges),
-                    "tailIndex": k.tail_index,
-                    "coeff": ctx.field.format(c),
-                }
-                for k, c in sorted(vec.items(), key=lambda kv: (kv[0].prefix.sort_key(), kv[0].tail_index))
-            ]
-            _emit({"module": "chen", "terms": terms})
-        else:
-            vec = sv_act(ctx, args.vertex, x, {Path(g.require_vertex(args.vertex)): ctx.field.one})
-            terms = [
-                {"path": list(k.edges), "coeff": ctx.field.format(c)}
-                for k, c in sorted(vec.items(), key=lambda kv: kv[0].sort_key())
-            ]
-            _emit({"module": "sv", "terms": terms})
-    else:  # pragma: no cover
-        raise InputError(f"unknown command {cmd!r}")
+def _closure(g: Graph, args) -> dict:
+    h = saturated_closure(g, _vertex_list(args.seed))
+    return {
+        "generatedFrom": sorted(h.generated_from),
+        "vertices": sorted(h.vertices),
+        "breakingVertices": sorted(breaking_vertices(g, h.vertices)),
+    }
+
+
+def _hs_sets(g: Graph, args) -> dict:
+    sets = enumerate_hs_sets(g, args.max_vertices_hs)
+    return {"count": len(sets), "sets": [sorted(h.vertices) for h in sets]}
+
+
+def _hedgehog(g: Graph, args) -> dict:
+    res = hedgehog(g, _vertex_list(args.h), _vertex_list(args.s), args.depth)
+    return {
+        "graph": graph_to_obj(res.graph),
+        "complete": res.complete,
+        "depthBound": res.depth_bound,
+        "pathVertices": {vid: list(p.edges) for vid, p in res.path_vertices},
+    }
+
+
+def _act(g: Graph, args) -> dict:
+    ctx = AlgebraContext(g, _field(args.field))
+    x = parse_expression(args.expr, ctx)
+    fmt, one = ctx.field.format, ctx.field.one
+    if args.module == "chen":
+        try:
+            desc = json.loads(args.stream)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed stream descriptor: {exc}") from None
+        start = chen_basis_element(g, stream_from_obj(g, desc))
+        vec = chen_act(ctx, x, {start: one})
+        terms = [
+            {"prefix": list(k.prefix.edges), "tailIndex": k.tail_index, "coeff": fmt(c)}
+            for k, c in sorted(vec.items(), key=lambda kv: (kv[0].prefix.sort_key(), kv[0].tail_index))
+        ]
+    else:
+        vec = sv_act(ctx, args.vertex, x, {Path(g.require_vertex(args.vertex)): one})
+        terms = [
+            {"path": list(k.edges), "coeff": fmt(c)}
+            for k, c in sorted(vec.items(), key=lambda kv: kv[0].sort_key())
+        ]
+    return {"module": args.module, "terms": terms}
+
+
+# The subcommands: name -> (help, own options, handler).  An option is (flag,
+# add_argument keywords); a handler maps (graph, parsed arguments) to the JSON
+# object written on stdout.  Handlers name library functions in their bodies,
+# so they resolve them when called.
+_COMMANDS = {
+    "validate": (
+        "validate a graph document",
+        (),
+        lambda g, args: {"ok": True, "vertices": len(g.vertices), "edgeBundles": len(g.edges)},
+    ),
+    "report": ("full analysis report", (), _report),
+    "fp": ("finitely-presented-modules verdict", (), lambda g, args: decide_fp(g).to_obj()),
+    "gk": ("growth verdict", (), lambda g, args: decide_gk(g).to_obj()),
+    "socle": ("line points and their saturated closure", (), _socle),
+    "closure": (
+        "saturated closure of a seed set",
+        (("--seed", {"required": True, "help": "comma- or space-separated vertex ids"}),),
+        _closure,
+    ),
+    "hs-sets": ("all hereditary saturated sets", (), _hs_sets),
+    "quotient": (
+        "quotient graph by (H, S)",
+        (
+            ("--h", {"default": "", "help": "hereditary saturated vertex set"}),
+            ("--s", {"default": "", "help": "subset of breaking vertices"}),
+        ),
+        lambda g, args: graph_to_obj(quotient(g, _vertex_list(args.h), _vertex_list(args.s))),
+    ),
+    "hedgehog": (
+        "graph realizing the graded ideal of (H, S)",
+        (("--h", {"required": True}), ("--s", {"default": ""}), ("--depth", {"type": int, "default": 8})),
+        _hedgehog,
+    ),
+    "ef": (
+        "subalgebra graph of a finite edge set",
+        (("--edges", {"required": True, "help": "comma- or space-separated edge addresses"}),),
+        lambda g, args: graph_to_obj(subalgebra_graph(g, _vertex_list(args.edges))),
+    ),
+    "corner": (
+        "corner report for one vertex",
+        (("--vertex", {"required": True}),),
+        lambda g, args: corner_report(g, args.vertex).to_obj(),
+    ),
+    "filtration": (
+        "chain of graded-ideal layers",
+        (("--kind", {"choices": ["fp", "gk"], "required": True}),),
+        lambda g, args: (fp_filtration if args.kind == "fp" else gk_filtration)(g).to_obj(),
+    ),
+    "eval": (
+        "evaluate an algebra expression",
+        (
+            ("--expr", {"required": True}),
+            ("--field", {"default": "q", "help": "'q' for rationals or a prime p for GF(p)"}),
+        ),
+        lambda g, args: {
+            "terms": parse_expression(args.expr, AlgebraContext(g, _field(args.field))).to_obj(),
+        },
+    ),
+    "growth": (
+        "dimension profile of the filtered algebra",
+        (("--n", {"type": int, "required": True}),),
+        lambda g, args: growth_profile(AlgebraContext(g), args.n),
+    ),
+    "act": (
+        "act with an expression on a module vector",
+        (
+            ("--module", {"choices": ["chen", "sv"], "required": True}),
+            ("--stream", {"help": "infinite-path descriptor JSON (chen)"}),
+            ("--vertex", {"help": "infinite emitter (sv)"}),
+            ("--expr", {"required": True}),
+            ("--field", {"default": "q"}),
+        ),
+        _act,
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,64 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, options, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph JSON file, or - for stdin")
         p.add_argument("--max-cycles", type=int, default=MAX_CYCLES_DEFAULT)
         p.add_argument("--max-vertices-hs", type=int, default=MAX_VERTICES_HS_DEFAULT)
-
-    common(sub.add_parser("validate", help="validate a graph document"))
-    common(sub.add_parser("report", help="full analysis report"))
-    common(sub.add_parser("fp", help="finitely-presented-modules verdict"))
-    common(sub.add_parser("gk", help="growth verdict"))
-    common(sub.add_parser("socle", help="line points and their saturated closure"))
-
-    p = sub.add_parser("closure", help="saturated closure of a seed set")
-    common(p)
-    p.add_argument("--seed", required=True, help="comma- or space-separated vertex ids")
-
-    common(sub.add_parser("hs-sets", help="all hereditary saturated sets"))
-
-    p = sub.add_parser("quotient", help="quotient graph by (H, S)")
-    common(p)
-    p.add_argument("--h", default="", help="hereditary saturated vertex set")
-    p.add_argument("--s", default="", help="subset of breaking vertices")
-
-    p = sub.add_parser("hedgehog", help="graph realizing the graded ideal of (H, S)")
-    common(p)
-    p.add_argument("--h", required=True)
-    p.add_argument("--s", default="")
-    p.add_argument("--depth", type=int, default=8)
-
-    p = sub.add_parser("ef", help="subalgebra graph of a finite edge set")
-    common(p)
-    p.add_argument("--edges", required=True, help="comma- or space-separated edge addresses")
-
-    p = sub.add_parser("corner", help="corner report for one vertex")
-    common(p)
-    p.add_argument("--vertex", required=True)
-
-    p = sub.add_parser("filtration", help="chain of graded-ideal layers")
-    common(p)
-    p.add_argument("--kind", choices=["fp", "gk"], required=True)
-
-    p = sub.add_parser("eval", help="evaluate an algebra expression")
-    common(p)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--field", default="q", help="'q' for rationals or a prime p for GF(p)")
-
-    p = sub.add_parser("growth", help="dimension profile of the filtered algebra")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("act", help="act with an expression on a module vector")
-    common(p)
-    p.add_argument("--module", choices=["chen", "sv"], required=True)
-    p.add_argument("--stream", help="infinite-path descriptor JSON (chen)")
-    p.add_argument("--vertex", help="infinite emitter (sv)")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--field", default="q")
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return ap
 
 
@@ -286,26 +280,24 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "act":
-            if args.module == "chen" and not args.stream:
-                raise InputError("the chen module needs --stream")
-            if args.module == "sv" and not args.vertex:
-                raise InputError("the sv module needs --vertex")
-        _cmd(args)
+        # act's flags (only act has --module) are checked before the graph is read
+        module = getattr(args, "module", None)
+        if module == "chen" and not args.stream:
+            raise InputError("the chen module needs --stream")
+        if module == "sv" and not args.vertex:
+            raise InputError("the sv module needs --vertex")
+        obj = args.handler(_read_graph(args.graph), args)
+        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
         return 0
     except ResourceCapError as exc:
-        _fail(str(exc), 3)
-        return 3
-    except InputError as exc:
-        _fail(str(exc), 2)
-        return 2
+        return _fail(exc, 3)
     except LeavittError as exc:
-        _fail(str(exc), 2)
-        return 2
+        return _fail(exc, 2)
 
 
-def _fail(message: str, code: int) -> None:
-    sys.stderr.write(json.dumps({"error": message, "exit": code}) + "\n")
+def _fail(exc: LeavittError, code: int) -> int:
+    sys.stderr.write(json.dumps({"error": str(exc), "exit": code}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -71,15 +71,22 @@ class Graph:
     __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_scc")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
-        vs = tuple(vertices)
+        try:
+            vs = tuple(vertices)
+        except TypeError:
+            raise SchemaError('"vertices" must be a list of strings') from None
         if not all(isinstance(v, str) for v in vs):
             raise SchemaError('"vertices" must be a list of strings')
         vs = tuple(sorted(vs))
         vset = set(vs)
         if len(vset) != len(vs):
             raise SchemaError("duplicate vertex ids")
+        try:
+            items = iter(edges)
+        except TypeError:
+            raise SchemaError('"edges" must be a list') from None
         norm = []
-        for e in edges:
+        for e in items:
             if not isinstance(e, Edge):
                 try:
                     e = Edge(*e)

@@ -325,10 +325,17 @@ class KernelData:
     mu: tuple[tuple[int, AlgebraElement], ...]
 
     def generators_at(self, n: int) -> tuple[AlgebraElement, ...]:
-        return dict(self.generators)[n]
+        return _at_position(self.generators, n)
 
     def mu_at(self, n: int) -> AlgebraElement:
-        return dict(self.mu)[n]
+        return _at_position(self.mu, n)
+
+
+def _at_position(pairs, n: int):
+    for k, value in pairs:
+        if k == n:
+            return value
+    raise NotSupportedError(f"position {n!r} does not bifurcate")
 
 
 def bifurcation_data(ctx: AlgebraContext, stream: StreamDescriptor, depth: int) -> KernelData:
@@ -389,7 +396,11 @@ def stream_from_obj(g: Graph, obj) -> StreamDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise NotSupportedError("stream descriptor must be an object with a \"kind\"")
     if obj["kind"] == "periodic":
-        return periodic_stream(g, obj.get("period", []), obj.get("prefix", []))
+        period, prefix = obj.get("period", []), obj.get("prefix", [])
+        for key, value in (("period", period), ("prefix", prefix)):
+            if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
+                raise NotSupportedError(f"the stream's \"{key}\" must be a list of edge addresses")
+        return periodic_stream(g, period, prefix)
     if obj["kind"] == "ghstream":
         if "g" not in obj or "h" not in obj:
             raise NotSupportedError("a ghstream descriptor needs the cycles \"g\" and \"h\"")

@@ -19,9 +19,10 @@ only it is capped.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Union
+from typing import AbstractSet, Iterator, Union
 
 from .closures import HSSet, SaturatedClosure, saturated_closure
 from .errors import InfinitelyManyCyclesError, NotSupportedError
@@ -288,7 +289,7 @@ def fp_filtration(g: Graph) -> Filtration:
     chain = [HSSet(frozenset(q.closure.vertices), scc.line_points)]
     layers: list[Layer] = [SocleLayer(chain[0].vertices)]
     while len(q.closure.vertices) < len(g.vertices):
-        c = min(q.no_exit_cycles(), key=Cycle.sort_key)
+        c = next(q.no_exit_cycles())
         card = _entry_paths(g, scc, cycle_base(g, c), q.closure.vertices)
         cycle = cycle_vertices(g, c)
         q.grow(cycle)
@@ -326,7 +327,7 @@ def gk_filtration(g: Graph) -> Filtration:
         layers.append(VnrLayer(chain[0].vertices))
     while len(q.closure.vertices) < len(g.vertices):
         acyclic = q.take_acyclic()
-        no_exit = sorted(q.no_exit_cycles(), key=Cycle.sort_key)
+        no_exit = list(q.no_exit_cycles())
         added = set(acyclic)
         for c in no_exit:
             added |= cycle_vertices(g, c)
@@ -542,7 +543,13 @@ class _Quotient:
     still leave it outside H (a single cycle without any is a no-exit cycle
     of the quotient) and the successor SCCs still outside H that reach a
     cycle outside H (an SCC off cycles without any holds acyclic vertices
-    of the quotient).  Growing H from empty to everything costs O(V + E).
+    of the quotient).  A no-exit cycle is built once, when its SCC loses its
+    last exit, and waits in a heap by ``Cycle.sort_key``.  The filtrations
+    grow H only by vertices that reach no cycle outside H and by cycles
+    taken from the heap, and saturation cannot add a vertex whose cycle
+    successor lies outside H, so no cycle joins H while it waits.  Growing
+    H from empty to everything costs O(V + E) plus O(C log C) for the C
+    no-exit cycles.
     """
 
     def __init__(self, g: Graph, scc: Condensation):
@@ -556,7 +563,10 @@ class _Quotient:
             i = scc.component[e.src]
             if i != scc.component[e.dst]:
                 self.exits[i] += 1
-        self.no_exit = {i for i in range(n) if scc.single_cycle[i] and not self.exits[i]}
+        self.no_exit: list[tuple] = []  # heap of (sort key, cycle)
+        for i in range(n):
+            if scc.single_cycle[i] and not self.exits[i]:
+                self._push(i)
         self.preds: list[list[int]] = [[] for _ in range(n)]
         for i, succ in enumerate(scc.successors):
             for j in succ:
@@ -581,6 +591,10 @@ class _Quotient:
                 if not self.live[p] and not self.scc.cyclic[p]:
                     todo.append(p)
 
+    def _push(self, i: int) -> None:
+        c = _scc_cycle(self.graph, self.scc, i)
+        heapq.heappush(self.no_exit, (c.sort_key(), c))
+
     def grow(self, seed) -> None:
         """Close H over ``seed``."""
         g, comp = self.graph, self.scc.component
@@ -591,7 +605,7 @@ class _Quotient:
                 if i != comp[x]:
                     self.exits[i] -= 1
                     if not self.exits[i] and self.scc.single_cycle[i]:
-                        self.no_exit.add(i)
+                        self._push(i)
         for i in {comp[x] for x in added}:
             self.in_h[i] = True
             self._finish(i)
@@ -603,6 +617,8 @@ class _Quotient:
         self.acyclic = []
         return found
 
-    def no_exit_cycles(self) -> list[Cycle]:
-        self.no_exit = {i for i in self.no_exit if not self.in_h[i]}
-        return [_scc_cycle(self.graph, self.scc, i) for i in self.no_exit]
+    def no_exit_cycles(self) -> Iterator[Cycle]:
+        """The no-exit cycles of the quotient, least first; each one yielded
+        leaves the heap."""
+        while self.no_exit:
+            yield heapq.heappop(self.no_exit)[1]

@@ -10,7 +10,7 @@ import pytest
 
 from leavitt import Edge, Graph, graph_to_json
 from leavitt.cli import main
-from leavitt.fixtures import g_line, g_loop, g_loop_chain, g_rose2
+from leavitt.fixtures import g_line, g_loop, g_loop_chain, g_rose2, g_toeplitz
 
 
 @pytest.fixture
@@ -117,3 +117,48 @@ def test_cycle_cap_is_checked_before_any_address_is_listed(write_graph, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out is None
     assert err == {"error": "more than 100000 simple cycles", "exit": 3}
+
+
+def test_scalar_with_a_denominator_p_divides_exits_2(write_graph, capsys):
+    loop = write_graph(g_loop())
+    code, out, err = run_cli(capsys, "eval", loop, "--expr", "1/7 v", "--field", "7")
+    assert code == 2 and out is None
+    assert err == {"error": "the scalar 1/7 has no value in GF(7): 7 divides its denominator", "exit": 2}
+    toeplitz = write_graph(g_toeplitz(), "toeplitz.json")
+    code, out, err = run_cli(
+        capsys, "act", toeplitz, "--module", "chen", "--stream", '{"kind":"periodic","period":["c"]}',
+        "--expr", "1/7 v1", "--field", "7",
+    )
+    assert code == 2 and out is None and "GF(7)" in err["error"]
+
+
+@pytest.mark.parametrize(
+    "stream, key",
+    [
+        ('{"kind":"periodic","period":5}', "period"),
+        ('{"kind":"periodic","period":["c"],"prefix":7}', "prefix"),
+        ('{"kind":"periodic","period":[["c"]]}', "period"),
+    ],
+)
+def test_malformed_periodic_stream_exits_2(write_graph, capsys, stream, key):
+    toeplitz = write_graph(g_toeplitz())
+    code, out, err = run_cli(capsys, "act", toeplitz, "--module", "chen", "--stream", stream, "--expr", "v1")
+    assert code == 2 and out is None
+    assert err == {"error": f'the stream\'s "{key}" must be a list of edge addresses', "exit": 2}
+
+
+def test_unreadable_graph_path_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "validate", missing)
+    assert code == 2 and out is None
+    assert err["exit"] == 2 and err["error"].startswith(f"cannot read {missing}: ")
+
+
+@pytest.mark.parametrize(
+    "module, missing",
+    [("chen", "the chen module needs --stream"), ("sv", "the sv module needs --vertex")],
+)
+def test_act_without_its_module_flag_exits_2(write_graph, capsys, module, missing):
+    code, out, err = run_cli(capsys, "act", write_graph(g_toeplitz()), "--module", module, "--expr", "v1")
+    assert code == 2 and out is None
+    assert err == {"error": missing, "exit": 2}

@@ -13,18 +13,22 @@ from leavitt import (
     NotSupportedError,
     OMEGA,
     PrimeField,
+    SchemaError,
     UnknownEdgeError,
+    bifurcation_data,
     decide_fp,
     decide_gk,
+    element_from_obj,
     enumerate_basis,
     enumerate_cycles,
     growth_profile,
     laurent_index_cardinality,
     make_path,
     parse_expression,
+    periodic_stream,
     quotient,
 )
-from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, random_graph
+from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, g_toeplitz, random_graph
 
 
 def test_parallel_loops_behave_like_a_rose():
@@ -143,3 +147,33 @@ def test_random_growth_agrees_with_basis_count():
         assert dims[4] == len(basis)
         checked += 1
     assert checked > 15
+
+
+def test_malformed_outside_input_raises_leavitt_errors():
+    ctx = AlgebraContext(g_toeplitz())
+    term = {"p": ["c"], "q": [], "coeff": "2"}
+    assert element_from_obj(ctx, [term]) == 2 * ctx.edge("c")
+    for obj in (
+        None,
+        [5],
+        [{"p": ["c"], "q": []}],
+        [{"p": ["c"], "coeff": "1"}],
+        [{"q": [], "coeff": "1"}],
+        [{"p": [], "q": [], "coeff": "1"}],
+        [{"p": [], "q": [], "coeff": "1", "v": ["v1"]}],
+        [{"p": "c", "q": [], "coeff": "1"}],
+        [{"p": [["c"]], "q": [], "coeff": "1"}],
+    ):
+        with pytest.raises(SchemaError):
+            element_from_obj(ctx, obj)
+    with pytest.raises(NotSupportedError, match="cannot coerce 'x' to a rational scalar"):
+        element_from_obj(ctx, [dict(term, coeff="x")])
+    for x in ("x", "1/0", "1/"):
+        with pytest.raises(NotSupportedError, match="to a rational scalar"):
+            ctx.scalar(x)
+    kd = bifurcation_data(ctx, periodic_stream(ctx.graph, ["c"]), 3)
+    assert kd.bifurcating_integers == (1, 2, 3)
+    with pytest.raises(NotSupportedError, match="position 4 does not bifurcate"):
+        kd.generators_at(4)
+    with pytest.raises(NotSupportedError, match="position 0 does not bifurcate"):
+        kd.mu_at(0)

@@ -201,6 +201,10 @@ def test_graph_schema_errors():
         Graph(["a"], [Edge("e", "a", "a", True)])
     with pytest.raises(SchemaError, match="mult must be a positive integer"):
         graph_from_obj({"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": "a", "mult": True}]})
+    with pytest.raises(SchemaError, match='"vertices" must be a list of strings'):
+        Graph(None, [])
+    with pytest.raises(SchemaError, match='"edges" must be a list'):
+        Graph(["a"], None)
 
 
 def test_clock_classification():

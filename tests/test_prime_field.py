@@ -3,6 +3,8 @@ with the digits of p rather than with its square root."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from leavitt import NotSupportedError, PrimeField
@@ -41,3 +43,13 @@ def test_modulus_above_the_bound_is_rejected():
         PrimeField(_MR_BOUND)
     with pytest.raises(NotSupportedError, match=str(_MR_BOUND)):
         PrimeField(2**89 - 1)
+
+
+def test_scalar_whose_denominator_p_divides_is_rejected():
+    field = PrimeField(7)
+    for x in ("1/7", Fraction(1, 7), "3/14"):
+        with pytest.raises(NotSupportedError, match=r"has no value in GF\(7\): 7 divides its denominator"):
+            field.coerce(x)
+    assert field.coerce("2/3") == field.coerce(Fraction(2, 3)) == 3
+    with pytest.raises(NotSupportedError, match=r"cannot coerce 'x' into GF\(7\)"):
+        field.coerce("x")

@@ -23,11 +23,13 @@ from leavitt import (
     decide_gk,
     enumerate_cycles,
     fp_filtration,
+    gk_filtration,
     graph_to_json,
     laurent_index_cardinality,
     line_points,
 )
 from leavitt import graph as graph_mod
+from leavitt import structure as structure_mod
 from leavitt.cli import main
 from leavitt.fixtures import g_line, g_loop_chain_with_sink
 
@@ -187,6 +189,31 @@ def test_corner_report_names_the_least_infinite_bundle_it_reaches():
     assert corner_report(g, "z").is_line_point
     with pytest.raises(InfinitelyManyCyclesError, match="^infinite bundle 'a' "):
         decide_gk(g)
+
+
+def test_fp_filtration_builds_each_no_exit_cycle_once(monkeypatch):
+    n = 2000
+    g = Graph([f"v{i:04}" for i in range(n)], [Edge(f"c{i:04}", f"v{i:04}", f"v{i:04}") for i in range(n)])
+    built = []
+    scc_cycle = structure_mod._scc_cycle
+
+    def counted(g, scc, i):
+        built.append(i)
+        return scc_cycle(g, scc, i)
+
+    monkeypatch.setattr(structure_mod, "_scc_cycle", counted)
+    start = time.perf_counter()
+    filt = fp_filtration(g)
+    assert time.perf_counter() - start < 2.0
+    assert sorted(built) == list(range(n))
+    assert [layer.cycle.edges for layer in filt.layers[1:]] == [(f"c{i:04}",) for i in range(n)]
+    assert [layer.index_cardinality for layer in filt.layers[1:]] == [1] * n
+    assert filt.chain[-1].vertices == frozenset(g.vertices)
+
+
+def test_gk_filtration_of_the_empty_graph():
+    filt = gk_filtration(Graph([], []))
+    assert filt.to_obj() == {"chain": [[]], "layers": [{"kind": "vnr", "vertices": []}]}
 
 
 def test_no_function_in_the_package_imports():
