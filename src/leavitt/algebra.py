@@ -25,6 +25,7 @@ from .graph import (
     OMEGA,
     Graph,
     Path,
+    bundle_addresses,
     is_regular,
     make_path,
     path_range,
@@ -149,6 +150,8 @@ class PrimeField:
     """The prime field GF(p); scalars are ints reduced mod p."""
 
     def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise NotSupportedError(f"the order of a prime field must be an integer, not {p!r}")
         if not _is_prime(p):
             raise NotSupportedError(f"{p} is not prime")
         self.p = p
@@ -303,11 +306,13 @@ class AlgebraContext:
 
     def _siblings(self, v: str) -> tuple[str, ...]:
         """The concrete out-edges of the regular vertex ``v`` other than its
-        special edge, listed on first use only."""
+        special edge, in bundle order, listed on first use only."""
         sib = self._sibling_cache.get(v)
         if sib is None:
             addr = self.special[v]
-            sib = self._sibling_cache[v] = tuple(f for f in self.graph.concrete_out(v) if f != addr)
+            sib = self._sibling_cache[v] = tuple(
+                f for e in self.graph.out_bundles(v) for f in bundle_addresses(self.graph, e.id) if f != addr
+            )
         return sib
 
     def __eq__(self, other):
@@ -344,7 +349,7 @@ class AlgebraContext:
         return normalize_monomial(self, p, q, coeff)
 
     def path_element(self, edges: Iterable[str], base: str | None = None) -> "AlgebraElement":
-        p = make_path(self.graph, list(edges), base)
+        p = make_path(self.graph, edges, base)
         return AlgebraElement._make(self, {(p.base, p.edges, path_range(self.graph, p), ()): 1}, 1)
 
     def scalar(self, value) -> object:
@@ -367,10 +372,12 @@ def _rewrite(ctx: AlgebraContext, work: list, acc: dict, rng: random.Random | No
     ``work`` to ``acc``, a map from flat keys to integer coefficients.
 
     A term whose paths both end in the special edge of its source w becomes
-    the term with that edge dropped minus the sibling terms (p f)(q f)*.  The
-    reducible branch loses two edges per step, and every sibling branch is
-    already normal at its junction, so the work list shrinks steadily.  With
-    ``rng`` the processing order is randomized; ``acc`` does not depend on it.
+    the term with that edge dropped minus the sibling terms (p f)(q f)*.  A
+    sibling ends in f, which leaves w and is not its special edge, so it is
+    normal and goes straight to ``acc``; only the shortened term goes back on
+    the work list, two edges shorter, so the work list shrinks steadily.
+    With ``rng`` the processing order is randomized; ``acc`` does not depend
+    on it.
     """
     special = ctx._special_src
     while work:
@@ -382,7 +389,8 @@ def _rewrite(ctx: AlgebraContext, work: list, acc: dict, rng: random.Random | No
             pe, qe = pe[:-1], qe[:-1]
             work.append((pb, pe, qb, qe, c))
             for f in ctx._siblings(w):
-                work.append((pb, pe + (f,), qb, qe + (f,), -c))
+                key = (pb, pe + (f,), qb, qe + (f,))
+                acc[key] = acc.get(key, 0) - c
             continue
         key = (pb, pe, qb, qe)
         acc[key] = acc.get(key, 0) + c
@@ -395,7 +403,11 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
     (p1 q1*)(p2 q2*) is nonzero only when q1 and p2 start at the same vertex
     and one is a prefix of the other (e* e = r(e), e* f = 0 for e != f).  The
     right terms are indexed by the base and first edge of p2 (None for a
-    vertex), so each left term meets only the right terms it can contract with.
+    vertex), so a ghost part q1 meets only the right terms it can contract
+    with.  Whether q1 contracts with p2, and the tail of p2 beyond q1 and the
+    new ghost part, depend on q1 alone, so the left terms are grouped by
+    their ghost part and each distinct one is contracted once; per left term
+    only p1 + tail is built.
     """
     by_base: dict[str, list] = {}
     by_head: dict[tuple, list] = {}
@@ -403,10 +415,13 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
         entry = (pe, qb, qe, c)
         by_base.setdefault(pb, []).append(entry)
         by_head.setdefault((pb, pe[0] if pe else None), []).append(entry)
+    groups: dict[tuple, list] = {}
+    for (pb, pe, qb, qe), c1 in left.items():
+        groups.setdefault((qb, qe), []).append((pb, pe, c1))
     special = ctx._special_src
     acc: dict[tuple, int] = {}
     work = []
-    for (pb, pe, qb, qe), c1 in left.items():
+    for (qb, qe), lefts in groups.items():
         la = len(qe)
         if la:
             matches = by_head.get((qb, None), []) + by_head.get((qb, qe[0]), [])
@@ -417,17 +432,27 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
             if la <= lb:
                 if e2[:la] != qe:
                     continue
-                p2, q2 = pe + e2[la:], f2
+                tail, q2 = e2[la:], f2
             else:
                 if qe[:lb] != e2:
                     continue
-                p2, q2 = pe, f2 + qe[lb:]
-            # only the few terms that end in a special pair need the work list
-            if p2 and q2 and p2[-1] == q2[-1] and p2[-1] in special:
-                work.append((pb, p2, b2, q2, c1 * c2))
+                tail, q2 = (), f2 + qe[lb:]
+            # p1 + tail and q2 form a special pair only when both end in the
+            # special edge q2[-1]; only those few terms need the work list
+            end = q2[-1] if q2 and q2[-1] in special else None
+            if end is None or (tail and tail[-1] != end):
+                for pb, pe, c1 in lefts:
+                    key = (pb, pe + tail, b2, q2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            elif tail:
+                work.extend((pb, pe + tail, b2, q2, c1 * c2) for pb, pe, c1 in lefts)
             else:
-                key = (pb, p2, b2, q2)
-                acc[key] = acc.get(key, 0) + c1 * c2
+                for pb, pe, c1 in lefts:
+                    if pe and pe[-1] == end:
+                        work.append((pb, pe, b2, q2, c1 * c2))
+                    else:
+                        key = (pb, pe, b2, q2)
+                        acc[key] = acc.get(key, 0) + c1 * c2
     _rewrite(ctx, work, acc)
     return acc
 
@@ -580,12 +605,18 @@ class AlgebraElement:
         }
 
     def to_obj(self) -> list[dict]:
-        out = []
         fmt = self.ctx.field.format_integral
         d = self._den
-        # the order of Monomial.sort_key: degree, p.edges, p.base, q.edges, q.base
-        for pb, pe, qb, qe in sorted(self._flat, key=lambda k: (len(k[1]) - len(k[3]), k[1], k[0], k[3], k[2])):
-            item = {"p": list(pe), "q": list(qe), "coeff": fmt(self._flat[(pb, pe, qb, qe)], d)}
+        # the order of Monomial.sort_key: degree, p.edges, p.base, q.edges,
+        # q.base; the keys are distinct, so the numerators are never compared
+        rows = sorted([(len(pe) - len(qe), pe, pb, qe, qb, n) for (pb, pe, qb, qe), n in self._flat.items()])
+        coeffs: dict[int, str] = {}
+        out = []
+        for _, pe, pb, qe, qb, n in rows:
+            c = coeffs.get(n)
+            if c is None:
+                c = coeffs[n] = fmt(n, d)
+            item = {"p": list(pe), "q": list(qe), "coeff": c}
             if not pe and not qe:
                 item["v"] = pb
             out.append(item)
@@ -737,6 +768,8 @@ def growth_profile(g, n_max: int) -> list[int]:
     the number of paths of length l ending at v, without materializing any
     path or pair: O(n * E + n^2 * V) integer operations.
     """
+    if not isinstance(n_max, int):
+        raise NotSupportedError(f"the growth bound must be an integer, not {n_max!r}")
     if n_max < 0:
         raise NotSupportedError(f"the growth bound must be at least 0, not {n_max}")
     ctx = _as_context(g)

@@ -246,13 +246,16 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise :class:`InputError`, so they are reported as JSON
-    like every other input error; subparsers inherit this class."""
+    like every other input error; subparsers inherit this class.  The
+    message carries no prog, so a subcommand's parser reports an error in
+    the same words as the top-level parser."""
 
     def error(self, message):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     ap = _Parser(
         prog="leavitt",
         description="Graph-algebra analysis: verdicts, closures, derived graphs, "
@@ -268,18 +271,31 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-    return ap
+    return ap, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # building the parser costs more than many requests; parsing leaves it unchanged
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # building the parsers costs more than many requests; parsing leaves them unchanged
+    return _build_parsers()
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        top, commands = _parsers()
+        # the top-level parser would hand everything after a subcommand's
+        # name to that subcommand's parser; calling it directly gives the
+        # same namespace (without "command") and the same errors, at half
+        # the cost.  Anything else (help, --version, no or unknown command)
+        # goes to the top-level parser.
+        own = commands.get(argv[0]) if argv else None
+        args = own.parse_args(argv[1:]) if own is not None else top.parse_args(argv)
         # act's flags (only act has --module) are checked before the graph is read
         module = getattr(args, "module", None)
         if module == "chen" and not args.stream:

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotSupportedError, ResourceCapError
+from .errors import NotSupportedError, ResourceCapError, SchemaError
 from .graph import (
     OMEGA,
     Edge,
@@ -49,7 +49,10 @@ class HSSet:
 def _as_vertex_set(x) -> frozenset[str]:
     if isinstance(x, HSSet):
         return x.vertices
-    return frozenset(x)
+    try:
+        return frozenset(x)
+    except TypeError:  # not iterable, or an unhashable member
+        raise SchemaError(f"a vertex set must be a collection of vertex ids, not {x!r}") from None
 
 
 def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
@@ -104,7 +107,7 @@ def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:
     already lie in the set; it preserves hereditariness, so the closure is
     the least set closed under both rules.
     """
-    seed_set = frozenset(g.require_vertex(v) for v in seed)
+    seed_set = frozenset(g.require_vertex(v) for v in _as_vertex_set(seed))
     closure = SaturatedClosure(g)
     closure.add(seed_set)
     return HSSet(frozenset(closure.vertices), seed_set)
@@ -139,6 +142,8 @@ def enumerate_hs_sets(g: Graph, max_vertices: int = MAX_VERTICES_HS_DEFAULT) -> 
     ``max_vertices`` caps the graph size and so the up to 2^V sets returned.
     """
     vs = g.vertices
+    if not isinstance(max_vertices, int):
+        raise NotSupportedError(f"the vertex cap must be an integer, not {max_vertices!r}")
     if len(vs) > max_vertices:
         raise ResourceCapError(
             f"{len(vs)} vertices exceeds the subset-enumeration cap {max_vertices}"
@@ -214,7 +219,7 @@ def quotient(g: Graph, h: Iterable[str], s: Iterable[str] = ()) -> Graph:
     copy ending at u'.
     """
     hset = _validate_hs(g, h)
-    sset = frozenset(s)
+    sset = _as_vertex_set(s)
     bh = breaking_vertices(g, hset)
     if not sset <= bh:
         raise NotSupportedError("s must be a subset of the breaking vertices of h")
@@ -356,7 +361,7 @@ def hedgehog(
     hset = frozenset(g.require_vertex(v) for v in _as_vertex_set(h))
     if not is_hereditary(g, hset):
         raise NotSupportedError("vertex set is not hereditary")
-    sset = frozenset(s)
+    sset = _as_vertex_set(s)
     if not sset <= breaking_vertices(g, hset):
         raise NotSupportedError("s must be a subset of the breaking vertices of h")
 

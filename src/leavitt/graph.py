@@ -156,7 +156,7 @@ class Graph:
         return v in self._out
 
     def require_vertex(self, v: str) -> str:
-        if v not in self._out:
+        if not (isinstance(v, str) and v in self._out):
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return v
 
@@ -203,6 +203,8 @@ class Graph:
         of another bundle's edge (see ``Graph``).  The index is written
         without leading zeros, so each concrete edge has exactly one address.
         """
+        if not isinstance(address, str):
+            raise SchemaError(f"an edge address must be a string, not {address!r}")
         e = self._by_id.get(address)
         if e is not None:
             if e.mult is OMEGA or e.mult > 1:
@@ -310,21 +312,28 @@ class Path:
         return (len(self.edges), self.edges, self.base)
 
 
-def make_path(g: Graph, edges: Sequence[str], base: str | None = None) -> Path:
+def make_path(g: Graph, edges: Iterable[str], base: str | None = None) -> Path:
     """Build a validated path from concrete edge addresses (vertex path if empty)."""
+    # a string is an iterable of letters, not of addresses
+    if isinstance(edges, str):
+        raise SchemaError(f"a path is a list of edge addresses, not the string {edges!r}")
+    try:
+        edges = tuple(edges)
+    except TypeError:
+        raise SchemaError(f"a path is a list of edge addresses, not {edges!r}") from None
     if not edges:
         if base is None:
             raise NotSupportedError("a length-0 path needs a base vertex")
         return Path(g.require_vertex(base), ())
-    at = g.src_of(edges[0])
+    start = at = g.src_of(edges[0])
     if base is not None and base != at:
         raise NotSupportedError(f"path base {base!r} is not the source of {edges[0]!r}")
     for a in edges:
         e = g.resolve(a)
         if e.src != at:
-            raise NotSupportedError(f"edges {edges!r} do not form a chain at {a!r}")
+            raise NotSupportedError(f"edges {list(edges)!r} do not form a chain at {a!r}")
         at = e.dst
-    return Path(g.src_of(edges[0]), tuple(edges))
+    return Path(start, edges)
 
 
 def path_range(g: Graph, p: Path) -> str:
@@ -618,18 +627,18 @@ def _tarjan(g: Graph) -> Condensation:
                     found.append(scc)
     n = len(found)
     component = {v: n - 1 - i for i, scc in enumerate(found) for v in scc}
-    members = tuple(tuple(sorted(scc)) for scc in reversed(found))
+    members = tuple(tuple(scc) if len(scc) == 1 else tuple(sorted(scc)) for scc in reversed(found))
     inner: list[Mult] = [0] * n
     infinite: list[str | None] = [None] * n
     branching = [False] * n
-    successors: list[set[int]] = [set() for _ in range(n)]
+    successors: list[list[int]] = [[] for _ in range(n)]
     for e in g.edges:  # in id order, so an SCC's first infinite bundle is its least
         i, j = component[e.src], component[e.dst]
         # two or more concrete edges leave e.src (an infinite bundle counts)
         if e.mult != 1 or len(g._out[e.src]) > 1:
             branching[i] = True
         if i != j:
-            successors[i].add(j)
+            successors[i].append(j)
         elif e.mult is OMEGA:
             inner[i] = OMEGA
             if infinite[i] is None:
@@ -640,7 +649,7 @@ def _tarjan(g: Graph) -> Condensation:
         component,
         members,
         tuple(inner),
-        tuple(tuple(sorted(s)) for s in successors),
+        tuple(tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in successors),
         tuple(infinite),
         tuple(branching),
     )
@@ -808,6 +817,8 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise SchemaError(f"a graph document must be JSON text, not {type(text).__name__}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -346,6 +346,8 @@ def bifurcation_data(ctx: AlgebraContext, stream: StreamDescriptor, depth: int) 
     mu_n is (prefix of length n-1)(prefix of length n-1)*.
     """
     g = ctx.graph
+    if not isinstance(depth, int):
+        raise NotSupportedError(f"depth must be an integer, not {depth!r}")
     if depth < 1:
         raise NotSupportedError("depth must be >= 1")
     integers = []

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from leavitt import Edge, Graph, graph_to_json
+from leavitt import Edge, Graph, cli, graph_to_json
 from leavitt.cli import main
+from leavitt.errors import InputError
 from leavitt.fixtures import g_line, g_loop, g_loop_chain, g_rose2, g_toeplitz
 
 
@@ -80,6 +81,49 @@ def test_usage_errors_are_json(write_graph, capsys, argv):
     assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+
+
+# good and bad argv for a subcommand's own parser: defaults, every kind of
+# option, a missing positional or required option, unknown flags and extra
+# arguments, bad choices and types, abbreviations, "--" and top-level flags
+# after the subcommand
+_SUBCOMMAND_ARGV = [
+    ["gk", "g.json"],
+    ["report", "g.json", "--max-cycles", "5", "--max-vertices-hs", "3"],
+    ["eval", "g.json", "--expr", "v", "--field", "7"],
+    ["eval", "g.json", "--ex", "v"],
+    ["act", "g.json", "--module", "sv", "--vertex", "v", "--expr", "v"],
+    ["act", "g.json", "--module", "chen", "--stream", "{}", "--expr", "v"],
+    ["filtration", "g.json", "--kind", "fp"],
+    ["hedgehog", "g.json", "--h", "v", "--depth", "2"],
+    ["quotient", "-", "--h=v"],
+    ["gk", "--", "g.json"],
+    ["gk"],
+    ["closure", "g.json"],
+    ["eval", "g.json"],
+    ["gk", "g.json", "--bogus"],
+    ["gk", "g.json", "extra"],
+    ["gk", "g.json", "--version"],
+    ["filtration", "g.json", "--kind", "x"],
+    ["act", "g.json", "--module", "x", "--expr", "v"],
+    ["growth", "g.json", "--n", "x"],
+    ["growth", "g.json", "--n"],
+    ["hedgehog", "g.json", "--h", "v", "--depth", "1.5"],
+]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMAND_ARGV)
+def test_a_subcommand_parser_reads_argv_as_the_top_level_parser_does(argv):
+    def parse(parser, args):
+        try:
+            ns = vars(parser.parse_args(args))
+        except InputError as exc:
+            return f"InputError: {exc}"
+        ns.pop("command", None)
+        return ns
+
+    _, commands = cli._parsers()
+    assert parse(commands[argv[0]], argv[1:]) == parse(cli.build_parser(), argv)
 
 
 def test_version_and_help_still_exit_through_argparse(capsys):

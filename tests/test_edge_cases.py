@@ -10,23 +10,29 @@ from leavitt import (
     AlgebraContext,
     Edge,
     Graph,
+    LeavittError,
     NotSupportedError,
     OMEGA,
     PrimeField,
     SchemaError,
     UnknownEdgeError,
     bifurcation_data,
+    corner_report,
     decide_fp,
     decide_gk,
     element_from_obj,
     enumerate_basis,
     enumerate_cycles,
+    enumerate_hs_sets,
+    graph_from_json,
     growth_profile,
     laurent_index_cardinality,
     make_path,
     parse_expression,
     periodic_stream,
     quotient,
+    saturated_closure,
+    subalgebra_graph,
 )
 from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, g_toeplitz, random_graph
 
@@ -177,3 +183,39 @@ def test_malformed_outside_input_raises_leavitt_errors():
         kd.generators_at(4)
     with pytest.raises(NotSupportedError, match="position 0 does not bifurcate"):
         kd.mu_at(0)
+
+
+# wrongly typed arguments, each on the Toeplitz graph (loop c at v1, edge e
+# from v1 to v2) and its algebra over Q
+_WRONG_TYPES = {
+    "make_path(g, [5])": lambda g, ctx: make_path(g, [5]),
+    "subalgebra_graph(g, [5])": lambda g, ctx: subalgebra_graph(g, [5]),
+    "ctx.edge(['c'])": lambda g, ctx: ctx.edge(["c"]),
+    "corner_report(g, ['v1'])": lambda g, ctx: corner_report(g, ["v1"]),
+    "growth_profile(ctx, 'x')": lambda g, ctx: growth_profile(ctx, "x"),
+    "bifurcation_data(ctx, s, 'x')": lambda g, ctx: bifurcation_data(ctx, periodic_stream(g, ["c"]), "x"),
+    "enumerate_hs_sets(g, 'x')": lambda g, ctx: enumerate_hs_sets(g, "x"),
+    "PrimeField('7')": lambda g, ctx: PrimeField("7"),
+    "quotient(g, None, [])": lambda g, ctx: quotient(g, None, []),
+    "saturated_closure(g, 5)": lambda g, ctx: saturated_closure(g, 5),
+    "graph_from_json(5)": lambda g, ctx: graph_from_json(5),
+    "make_path(g, 'ce')": lambda g, ctx: make_path(g, "ce"),
+    "ctx.path_element('ce')": lambda g, ctx: ctx.path_element("ce"),
+}
+
+
+@pytest.mark.parametrize("call", list(_WRONG_TYPES.values()), ids=list(_WRONG_TYPES))
+def test_wrongly_typed_arguments_raise_leavitt_errors(call):
+    g = g_toeplitz()
+    with pytest.raises(LeavittError):
+        call(g, AlgebraContext(g))
+
+
+def test_a_path_is_not_read_from_the_letters_of_a_string():
+    g = g_toeplitz()
+    ctx = AlgebraContext(g)
+    for call in (lambda: make_path(g, "ce"), lambda: ctx.path_element("ce")):
+        with pytest.raises(SchemaError, match="not the string 'ce'"):
+            call()
+    assert make_path(g, ("c", "e")) == make_path(g, ["c", "e"])
+    assert ctx.path_element(iter(["c", "e"])) == ctx.edge("c") * ctx.edge("e")

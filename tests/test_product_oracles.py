@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from leavitt import OMEGA, AlgebraContext, AlgebraElement, Edge, Graph, Monomial, Path, PrimeField, RATIONALS
 from leavitt import normalize_monomial as library_normalize_monomial
+from leavitt.expressions import parse_expression
+from leavitt.fixtures import g_loop_chain, g_rose2
 from leavitt.graph import bundle_addresses, is_regular, path_range
 
 # --- verbatim copy of the old library code ----------------------------------
@@ -255,3 +257,52 @@ def test_a_product_that_cancels_is_zero():
         assert total.is_zero
         w = Monomial(Path("w"), Path("w"))
         _assert_same(ctx.ghost("b[1]") * ctx.edge("b[1]"), AlgebraElement(ctx, {w: field.one}))
+
+
+def _power_contexts():
+    """Each graph over each field: rose2, the loop chain of length 3, a graph
+    with bundles of multiplicity 2 and 3, and one with custom special edges."""
+    bundles = Graph(["u", "w"], [Edge("b", "u", "w", 2), Edge("c", "u", "u"), Edge("d", "w", "u", 3)])
+    custom = Graph(["u", "w"], [Edge("a", "u", "u", 2), Edge("b", "u", "w"), Edge("d", "w", "u", 2), Edge("f", "w", "w")])
+    for field in FIELDS:
+        yield AlgebraContext(g_rose2(), field)
+        yield AlgebraContext(g_loop_chain(3), field)
+        yield AlgebraContext(bundles, field)
+        yield AlgebraContext(custom, field, special_edges={"u": "a[1]", "w": "d[1]"})
+
+
+def _generator_sum(rng: random.Random, ctx: AlgebraContext) -> AlgebraElement:
+    """A combination of 2-5 distinct vertices, edges and ghost edges."""
+    g = ctx.graph
+    pool = [ctx.vertex(v) for v in g.vertices]
+    pool += [f(a) for v in g.vertices for a in g.concrete_out(v) for f in (ctx.edge, ctx.ghost)]
+    chosen = rng.sample(pool, rng.randint(2, min(5, len(pool))))
+    return AlgebraElement.sum([y.scale(_coeff(rng, ctx)) for y in chosen])
+
+
+def test_powers_match_the_pair_loop():
+    # the left factor of x^k holds many terms per ghost part, each of which
+    # the library contracts once; the pair loop contracts every term
+    rng = random.Random(8128)
+    shared = 0
+    for ctx in _power_contexts():
+        for _ in range(4):
+            x = _generator_sum(rng, ctx)
+            power = ref = x
+            for _ in range(2, 9):
+                shared += len(power._flat) - len({(qb, qe) for _, _, qb, qe in power._flat})
+                power, ref = power * x, multiply(ref, x)
+                _assert_same(power, ref)
+    assert shared > 2000
+
+
+def test_a_wide_element_serializes_as_the_term_map_did():
+    from test_flat_elements import AlgebraElement as ReferenceElement
+
+    g = Graph(["u", "w"], [Edge("b", "u", "w", 8192)])
+    for field in (RATIONALS, PrimeField(7)):
+        ctx = AlgebraContext(g, field)
+        x = parse_expression("b[0].b[0]*", ctx)
+        obj = x.to_obj()
+        assert len(obj) == 8192
+        assert obj == ReferenceElement(ctx, x.terms).to_obj()
