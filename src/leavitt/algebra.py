@@ -6,17 +6,19 @@ or a prime field GF(p).  Products contract ghost-against-real path prefixes
 (e*e = r(e), e*f = 0) and are then rewritten to a canonical normal form that
 eliminates, at every regular vertex, the pair gamma gamma* of a chosen
 "special" outgoing edge: p gamma (q gamma)* becomes p q* minus the sibling
-terms (p f)(q f)*.  Each rewrite strictly shortens the only reducible branch,
-so normalization terminates; two elements are equal iff their normal term
-maps are equal.  No reduction is ever applied at sinks or infinite emitters.
+terms (p f)(q f)*.  The siblings are normal, so a term reduces along one
+chain, two edges shorter at each step; two elements are equal iff their
+normal term maps are equal.  No reduction is ever applied at sinks or
+infinite emitters.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -25,7 +27,9 @@ from .graph import (
     OMEGA,
     Graph,
     Path,
-    bundle_addresses,
+    _address,
+    _addresses,
+    _require_int,
     is_regular,
     make_path,
     path_range,
@@ -150,9 +154,7 @@ class PrimeField:
     """The prime field GF(p); scalars are ints reduced mod p."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int):
-            raise NotSupportedError(f"the order of a prime field must be an integer, not {p!r}")
-        if not _is_prime(p):
+        if not _is_prime(_require_int(p, "the order of a prime field")):
             raise NotSupportedError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -284,14 +286,13 @@ class AlgebraContext:
     ):
         self.graph = graph
         self.field = field
-        special = {}
-        for v in graph.vertices:
-            if is_regular(graph, v):
-                # id[0] is the least address of its bundle
-                special[v] = min(
-                    e.id if e.mult == 1 else f"{e.id}[0]" for e in graph.out_bundles(v)
-                )
+        # id[0] is the least address of its bundle
+        special = {
+            v: min(_address(e, 0) for e in graph.out_bundles(v)) for v in graph.vertices if is_regular(graph, v)
+        }
         if special_edges is not None:
+            if not isinstance(special_edges, Mapping):
+                raise SchemaError(f"special edges must map vertex ids to edge addresses, not {special_edges!r}")
             for v, addr in special_edges.items():
                 if v not in special:
                     raise NotSupportedError(f"{v!r} is not a regular vertex")
@@ -311,7 +312,7 @@ class AlgebraContext:
         if sib is None:
             addr = self.special[v]
             sib = self._sibling_cache[v] = tuple(
-                f for e in self.graph.out_bundles(v) for f in bundle_addresses(self.graph, e.id) if f != addr
+                f for e in self.graph.out_bundles(v) for f in _addresses(e) if f != addr
             )
         return sib
 
@@ -367,31 +368,26 @@ class AlgebraContext:
 # is read.
 
 
-def _rewrite(ctx: AlgebraContext, work: list, acc: dict, rng: random.Random | None = None) -> None:
+def _rewrite(ctx: AlgebraContext, terms: Iterable[tuple], acc: dict) -> None:
     """Add the normal form of each (p.base, p.edges, q.base, q.edges, n) in
-    ``work`` to ``acc``, a map from flat keys to integer coefficients.
+    ``terms`` to ``acc``, a map from flat keys to integer coefficients.
 
-    A term whose paths both end in the special edge of its source w becomes
-    the term with that edge dropped minus the sibling terms (p f)(q f)*.  A
-    sibling ends in f, which leaves w and is not its special edge, so it is
-    normal and goes straight to ``acc``; only the shortened term goes back on
-    the work list, two edges shorter, so the work list shrinks steadily.
-    With ``rng`` the processing order is randomized; ``acc`` does not depend
-    on it.
+    While both paths of a term end in the special edge of its source w, the
+    term becomes the term with that edge dropped minus the sibling terms
+    (p f)(q f)*.  A sibling ends in f, which leaves w and is not its special
+    edge, so it is normal and goes straight to ``acc``: each term reduces
+    along one chain, two edges shorter at each step.
     """
     special = ctx._special_src
-    while work:
-        pb, pe, qb, qe, c = work.pop() if rng is None else work.pop(rng.randrange(len(work)))
-        if pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
-            w = special[pe[-1]]
+    for pb, pe, qb, qe, c in terms:
+        while pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
+            siblings = ctx._siblings(special[pe[-1]])
             # a path is based at the source of its first edge, so the bases
             # stay put even when the dropped edge was the only one
             pe, qe = pe[:-1], qe[:-1]
-            work.append((pb, pe, qb, qe, c))
-            for f in ctx._siblings(w):
+            for f in siblings:
                 key = (pb, pe + (f,), qb, qe + (f,))
                 acc[key] = acc.get(key, 0) - c
-            continue
         key = (pb, pe, qb, qe)
         acc[key] = acc.get(key, 0) + c
 
@@ -420,7 +416,7 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
         groups.setdefault((qb, qe), []).append((pb, pe, c1))
     special = ctx._special_src
     acc: dict[tuple, int] = {}
-    work = []
+    reducible = []
     for (qb, qe), lefts in groups.items():
         la = len(qe)
         if la:
@@ -438,32 +434,33 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
                     continue
                 tail, q2 = (), f2 + qe[lb:]
             # p1 + tail and q2 form a special pair only when both end in the
-            # special edge q2[-1]; only those few terms need the work list
+            # special edge q2[-1]; only those few terms go through _rewrite
             end = q2[-1] if q2 and q2[-1] in special else None
             if end is None or (tail and tail[-1] != end):
                 for pb, pe, c1 in lefts:
                     key = (pb, pe + tail, b2, q2)
                     acc[key] = acc.get(key, 0) + c1 * c2
             elif tail:
-                work.extend((pb, pe + tail, b2, q2, c1 * c2) for pb, pe, c1 in lefts)
+                reducible.extend((pb, pe + tail, b2, q2, c1 * c2) for pb, pe, c1 in lefts)
             else:
                 for pb, pe, c1 in lefts:
                     if pe and pe[-1] == end:
-                        work.append((pb, pe, b2, q2, c1 * c2))
+                        reducible.append((pb, pe, b2, q2, c1 * c2))
                     else:
                         key = (pb, pe, b2, q2)
                         acc[key] = acc.get(key, 0) + c1 * c2
-    _rewrite(ctx, work, acc)
+    _rewrite(ctx, reducible, acc)
     return acc
 
 
 def normalize_monomial(
     ctx: AlgebraContext, p: Path, q: Path, coeff=1, rng: random.Random | None = None
 ) -> "AlgebraElement":
-    """Normal form of coeff * p q*, optionally with a randomized rewrite order."""
+    """Normal form of coeff * p q*.  ``rng`` has no effect: the term reduces
+    along one chain, so there is no rewrite order to choose."""
     (n,), d = ctx.field.integral([ctx.field.coerce(coeff)])
     acc: dict[tuple, int] = {}
-    _rewrite(ctx, [(p.base, p.edges, q.base, q.edges, n)], acc, rng)
+    _rewrite(ctx, [(p.base, p.edges, q.base, q.edges, n)], acc)
     return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
 
 
@@ -659,9 +656,8 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
         pairs.append((p, q))
         coeffs.append(ctx.field.coerce(item["coeff"]))
     nums, d = ctx.field.integral(coeffs)
-    work = [(p.base, p.edges, q.base, q.edges, n) for (p, q), n in zip(pairs, nums)]
     acc: dict[tuple, int] = {}
-    _rewrite(ctx, work, acc)
+    _rewrite(ctx, ((p.base, p.edges, q.base, q.edges, n) for (p, q), n in zip(pairs, nums)), acc)
     return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
 
 
@@ -682,16 +678,9 @@ def degree_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
 # ---------------------------------------------------------------------------
 
 
-def _as_context(g) -> AlgebraContext:
-    return g if isinstance(g, AlgebraContext) else AlgebraContext(g)
-
-
 def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
-    if not (m.p.edges and m.q.edges):
-        return True
-    if m.p.edges[-1] != m.q.edges[-1]:
-        return True
-    return m.p.edges[-1] not in ctx._special_src
+    pe, qe = m.p.edges, m.q.edges
+    return not (pe and qe and pe[-1] == qe[-1] and pe[-1] in ctx._special_src)
 
 
 def _require_finite_bundles(g: Graph) -> None:
@@ -702,31 +691,25 @@ def _require_finite_bundles(g: Graph) -> None:
             )
 
 
-def _paths_by_length(ctx: AlgebraContext, max_len: int, cap: int) -> dict[str, list[list[Path]]]:
-    """paths[v][l] = all paths of length l ending at v; fails on infinite emitters."""
-    g = ctx.graph
+def _paths_by_length(g: Graph, max_len: int, cap: int) -> dict[str, list[list[Path]]]:
+    """paths[v][l] = all paths of length l ending at v, up to ``max_len`` or
+    the last length that has a path, each level extended bundle by bundle
+    from the one before; fails on infinite emitters."""
     _require_finite_bundles(g)
     by_range: dict[str, list[list[Path]]] = {v: [[Path(v)]] for v in g.vertices}
-    frontier = {v: [Path(v)] for v in g.vertices}
     total = len(g.vertices)
-    for _ in range(max_len):
+    for l in range(max_len):
         nxt: dict[str, list[Path]] = {v: [] for v in g.vertices}
-        for v, paths in frontier.items():
-            for addr in g.concrete_out(v):
-                dst = g.dst_of(addr)
-                for p in paths:
-                    nxt[dst].append(Path(p.base, p.edges + (addr,)))
-                    total += 1
-                    if total > cap:
-                        raise ResourceCapError(f"more than {cap} paths enumerated")
-        for v, paths in nxt.items():
-            by_range[v].append(paths)
-        frontier = nxt
+        for e in g.edges:
+            paths = by_range[e.src][l]
+            total += len(paths) * e.mult
+            if total > cap:
+                raise ResourceCapError(f"more than {cap} paths enumerated")
+            nxt[e.dst].extend(Path(p.base, p.edges + (a,)) for a in _addresses(e) for p in paths)
         if not any(nxt.values()):
             break
-    for v in g.vertices:
-        while len(by_range[v]) <= max_len:
-            by_range[v].append([])
+        for v, paths in nxt.items():
+            by_range[v].append(paths)
     return by_range
 
 
@@ -738,24 +721,20 @@ def enumerate_basis(
     For an acyclic graph this is the full finite basis once the bound reaches
     twice the longest path length.
     """
-    ctx = _as_context(g)
-    by_range = _paths_by_length(ctx, max_total_length, max_basis)
+    ctx = g if isinstance(g, AlgebraContext) else AlgebraContext(g)
+    _require_int(max_total_length, "the basis length bound")
+    by_range = _paths_by_length(ctx.graph, max_total_length, _require_int(max_basis, "the basis cap"))
     out: list[Monomial] = []
-    for v in ctx.graph.vertices:
-        lengths = by_range[v]
-        for lp in range(len(lengths)):
-            for lq in range(len(lengths)):
-                if lp + lq > max_total_length:
-                    continue
-                for p in lengths[lp]:
-                    for q in lengths[lq]:
+    for lengths in by_range.values():
+        for lp, ps in enumerate(lengths):
+            for qs in lengths[: max_total_length - lp + 1]:
+                for p in ps:
+                    for q in qs:
                         m = Monomial(p, q)
                         if is_normal(ctx, m):
                             out.append(m)
                             if len(out) > max_basis:
-                                raise ResourceCapError(
-                                    f"basis exceeds the cap {max_basis}"
-                                )
+                                raise ResourceCapError(f"basis exceeds the cap {max_basis}")
     return sorted(out, key=Monomial.sort_key)
 
 
@@ -766,38 +745,28 @@ def growth_profile(g, n_max: int) -> list[int]:
     Rewriting never lengthens a word, so dim V_n equals the number of normal
     monomials with |p| + |q| <= n.  They are counted from ``counts[v][l]``,
     the number of paths of length l ending at v, without materializing any
-    path or pair: O(n * E + n^2 * V) integer operations.
+    path or pair: those of total length k number (c_v * c_v)[k] summed over
+    the vertices v, less (c_w * c_w)[k - 2] for each regular vertex w, whose
+    special edge s makes (p s)(q s)* reducible for each pair (p, q) ending
+    at w.  No count depends on which edge s is, so a context is read only
+    for its graph.  O(n * E + n^2 * V) integer operations.
     """
-    if not isinstance(n_max, int):
-        raise NotSupportedError(f"the growth bound must be an integer, not {n_max!r}")
-    if n_max < 0:
+    if _require_int(n_max, "the growth bound") < 0:
         raise NotSupportedError(f"the growth bound must be at least 0, not {n_max}")
-    ctx = _as_context(g)
-    g_ = ctx.graph
-    _require_finite_bundles(g_)
-    counts = {v: [1] + [0] * n_max for v in g_.vertices}
+    g = g.graph if isinstance(g, AlgebraContext) else g
+    _require_finite_bundles(g)
+    counts = {v: [1] + [0] * n_max for v in g.vertices}
     for l in range(n_max):
-        for e in g_.edges:
+        for e in g.edges:
             counts[e.dst][l + 1] += e.mult * counts[e.src][l]
-    # special_in[v] = the path counts at the sources of the special edges
-    # with range v (at most one special edge per source vertex)
-    special_in: dict[str, list[list[int]]] = {v: [] for v in g_.vertices}
-    for addr in ctx.special.values():
-        special_in[g_.dst_of(addr)].append(counts[g_.src_of(addr)])
-
+    # per_total[k] = the normal monomials with |p| + |q| = k
     per_total = [0] * (n_max + 1)
-    for v in g_.vertices:
+    for v in g.vertices:
         cv = counts[v]
-        for a in range(n_max + 1):
-            for b in range(n_max + 1 - a):
-                pairs = cv[a] * cv[b]
-                if a >= 1 and b >= 1:
-                    for cw in special_in[v]:
-                        pairs -= cw[a - 1] * cw[b - 1]
-                per_total[a + b] += pairs
-    dims = []
-    acc = 0
-    for n in range(n_max + 1):
-        acc += per_total[n]
-        dims.append(acc)
-    return dims
+        square = [sum(map(mul, cv[: k + 1], cv[k::-1])) for k in range(n_max + 1)]
+        for k, x in enumerate(square):
+            per_total[k] += x
+        if is_regular(g, v):
+            for k, x in enumerate(square[: n_max - 1]):
+                per_total[k + 2] -= x
+    return list(accumulate(per_total))

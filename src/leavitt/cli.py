@@ -228,7 +228,7 @@ _COMMANDS = {
     "growth": (
         "dimension profile of the filtered algebra",
         (("--n", {"type": int, "required": True}),),
-        lambda g, args: growth_profile(AlgebraContext(g), args.n),
+        lambda g, args: growth_profile(g, args.n),
     ),
     "act": (
         "act with an expression on a module vector",

@@ -15,7 +15,10 @@ from .graph import (
     Edge,
     Graph,
     Path,
+    _address,
     _addressed_bundle,
+    _as_addresses,
+    _require_int,
     classify_vertex,
     condensation,
     is_regular,
@@ -57,10 +60,7 @@ def _as_vertex_set(x) -> frozenset[str]:
 
 def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
     """Smallest forward-closed superset of ``seed``."""
-    seed = list(seed)
-    if not seed:
-        return frozenset()
-    return g.reachable(seed)
+    return g.reachable(_as_vertex_set(seed))
 
 
 class SaturatedClosure:
@@ -142,9 +142,7 @@ def enumerate_hs_sets(g: Graph, max_vertices: int = MAX_VERTICES_HS_DEFAULT) -> 
     ``max_vertices`` caps the graph size and so the up to 2^V sets returned.
     """
     vs = g.vertices
-    if not isinstance(max_vertices, int):
-        raise NotSupportedError(f"the vertex cap must be an integer, not {max_vertices!r}")
-    if len(vs) > max_vertices:
+    if len(vs) > _require_int(max_vertices, "the vertex cap"):
         raise ResourceCapError(
             f"{len(vs)} vertices exceeds the subset-enumeration cap {max_vertices}"
         )
@@ -312,11 +310,8 @@ def _enumerate_entering_paths(
         for e in moves[u]:
             if last and e.dst not in targets:
                 continue
-            if e.mult == 1:
-                yield e.id, e.dst
-            else:
-                for k in range(1 if e.mult is OMEGA else e.mult):
-                    yield f"{e.id}[{k}]", e.dst
+            for k in range(1 if e.mult is OMEGA else e.mult):
+                yield _address(e, k), e.dst
 
     # depth-first with an explicit stack; chain is the path to the top frame,
     # a valid chain by construction, so each found path is built directly
@@ -356,7 +351,7 @@ def hedgehog(
     its path.  If infinitely many such paths exist the result is truncated at
     ``depth_bound`` and flagged incomplete.
     """
-    if depth_bound < 1:
+    if _require_int(depth_bound, "depth_bound") < 1:
         raise NotSupportedError("depth_bound must be >= 1")
     hset = frozenset(g.require_vertex(v) for v in _as_vertex_set(h))
     if not is_hereditary(g, hset):
@@ -405,10 +400,11 @@ def subalgebra_graph(g: Graph, addresses: Iterable[str]) -> Graph:
     sources.  There is an edge (e, y) whenever e ends where y starts (a vertex
     y starts at itself).
     """
-    f = sorted(set(addresses))
-    chosen = Counter(g.resolve(a).id for a in f)  # each concrete edge has one address
-    rf = {g.dst_of(a) for a in f}
-    sf = {g.src_of(a) for a in f}
+    edge_of = {a: g.resolve(a) for a in _as_addresses(addresses, "an edge set")}
+    f = sorted(edge_of)
+    chosen = Counter(e.id for e in edge_of.values())  # each concrete edge has one address
+    rf = {e.dst for e in edge_of.values()}
+    sf = {e.src for e in edge_of.values()}
     middle = sorted(
         v
         for v in rf & sf
@@ -420,12 +416,12 @@ def subalgebra_graph(g: Graph, addresses: Iterable[str]) -> Graph:
     vid_of_edge = {a: _fresh(a, taken) for a in f}
     vid_of_vertex = {v: _fresh(v, taken) for v in middle + terminal}
 
-    starts: list[tuple[str, str]] = [(g.src_of(a), vid_of_edge[a]) for a in f]
+    starts: list[tuple[str, str]] = [(edge_of[a].src, vid_of_edge[a]) for a in f]
     starts += [(v, vid_of_vertex[v]) for v in middle + terminal]
 
     edges = []
     for a in f:
         for start_vertex, vid in starts:
-            if g.dst_of(a) == start_vertex:
+            if edge_of[a].dst == start_vertex:
                 edges.append(Edge(_fresh(f"({a},{vid})", taken), vid_of_edge[a], vid))
     return Graph(list(vid_of_edge.values()) + list(vid_of_vertex.values()), edges)

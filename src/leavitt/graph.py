@@ -268,22 +268,30 @@ def _addressed_bundle(xid: str, by_id: dict[str, Edge]) -> str | None:
     return None
 
 
+def _address(e: Edge, k: int) -> str:
+    """The concrete address of edge ``k`` of the bundle ``e``."""
+    return e.id if e.mult == 1 else f"{e.id}[{k}]"
+
+
 def _addresses(e: Edge) -> list[str]:
     if e.mult is OMEGA:
         raise NotSupportedError(f"bundle {e.id!r} has infinitely many edges")
-    if e.mult == 1:
-        return [e.id]
-    return [f"{e.id}[{i}]" for i in range(e.mult)]
+    return [_address(e, k) for k in range(e.mult)]
 
 
 def bundle_addresses(g: Graph, edge_id: str, limit: int | None = None) -> list[str]:
     """Concrete addresses of one bundle; ``limit`` truncates an infinite bundle."""
     e = g.bundle(edge_id)
-    if e.mult is OMEGA:
-        if limit is None:
-            raise NotSupportedError(f"bundle {edge_id!r} has infinitely many edges")
-        return [f"{edge_id}[{i}]" for i in range(limit)]
+    if e.mult is OMEGA and limit is not None:
+        return [_address(e, k) for k in range(limit)]
     return _addresses(e)
+
+
+def _require_int(x, what: str) -> int:
+    """``x``, which must be an integer (bounds, caps and indexes)."""
+    if not isinstance(x, int):
+        raise NotSupportedError(f"{what} must be an integer, not {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +322,7 @@ class Path:
 
 def make_path(g: Graph, edges: Iterable[str], base: str | None = None) -> Path:
     """Build a validated path from concrete edge addresses (vertex path if empty)."""
-    # a string is an iterable of letters, not of addresses
-    if isinstance(edges, str):
-        raise SchemaError(f"a path is a list of edge addresses, not the string {edges!r}")
-    try:
-        edges = tuple(edges)
-    except TypeError:
-        raise SchemaError(f"a path is a list of edge addresses, not {edges!r}") from None
+    edges = _as_addresses(edges, "a path")
     if not edges:
         if base is None:
             raise NotSupportedError("a length-0 path needs a base vertex")
@@ -334,6 +336,17 @@ def make_path(g: Graph, edges: Iterable[str], base: str | None = None) -> Path:
             raise NotSupportedError(f"edges {list(edges)!r} do not form a chain at {a!r}")
         at = e.dst
     return Path(start, edges)
+
+
+def _as_addresses(x, what: str) -> tuple:
+    """The items of ``x``, a collection of edge addresses that ``what`` names."""
+    # a string is an iterable of letters, not of addresses
+    if isinstance(x, str):
+        raise SchemaError(f"{what} is a list of edge addresses, not the string {x!r}")
+    try:
+        return tuple(x)
+    except TypeError:
+        raise SchemaError(f"{what} is a list of edge addresses, not {x!r}") from None
 
 
 def path_range(g: Graph, p: Path) -> str:
@@ -688,6 +701,7 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
     :class:`InfinitelyManyCyclesError`.  The cycles of an itinerary are
     counted before any is listed, so the cap costs nothing per edge.
     """
+    _require_int(max_cycles, "the cycle cap")
     order = {v: i for i, v in enumerate(g.vertices)}
     found: list[Cycle] = []
 

@@ -19,6 +19,7 @@ from .graph import (
     Cycle,
     Graph,
     Path,
+    _require_int,
     canonical_cycle,
     cycle_base,
     make_path,
@@ -88,11 +89,11 @@ StreamDescriptor = Union[PeriodicPath, GeneratedStream]
 
 
 def periodic_stream(g: Graph, period_edges, prefix_edges=()) -> PeriodicPath:
-    period = make_path(g, list(period_edges))
+    period = make_path(g, period_edges)
     if path_range(g, period) != period.base:
         raise NotSupportedError("period must be a closed path")
     if prefix_edges:
-        prefix = make_path(g, list(prefix_edges))
+        prefix = make_path(g, prefix_edges)
         if path_range(g, prefix) != period.base:
             raise NotSupportedError("prefix must end at the source of the period")
     else:
@@ -171,7 +172,7 @@ class ChenBasisElement:
 def chen_basis_element(
     g: Graph, stream: StreamDescriptor, prefix: Path | None = None, tail_index: int = 0
 ) -> ChenBasisElement:
-    if tail_index < 0:
+    if _require_int(tail_index, "the tail index") < 0:
         raise NotSupportedError("tail index must be >= 0")
     if prefix is None:
         prefix = Path(stream_vertex_after(g, stream, tail_index))
@@ -346,9 +347,7 @@ def bifurcation_data(ctx: AlgebraContext, stream: StreamDescriptor, depth: int) 
     mu_n is (prefix of length n-1)(prefix of length n-1)*.
     """
     g = ctx.graph
-    if not isinstance(depth, int):
-        raise NotSupportedError(f"depth must be an integer, not {depth!r}")
-    if depth < 1:
+    if _require_int(depth, "depth") < 1:
         raise NotSupportedError("depth must be >= 1")
     integers = []
     gens = []

@@ -32,6 +32,7 @@ from .graph import (
     Condensation,
     Cycle,
     Graph,
+    _address,
     _require_finitely_many_cycles,
     canonical_cycle,
     condensation,
@@ -526,11 +527,6 @@ def _entry_paths(g: Graph, scc: Condensation, base: str, removed: AbstractSet[st
     if len(ways) < len(reach):
         return OMEGA  # a closed path avoiding the base feeds it
     return total
-
-
-def _address(e, k: int) -> str:
-    """The concrete address of edge ``k`` of bundle ``e``."""
-    return e.id if e.mult == 1 else f"{e.id}[{k}]"
 
 
 class _Quotient:

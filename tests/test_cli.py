@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from leavitt import graph_from_obj, graph_to_json, graph_to_obj
+from leavitt import OMEGA, Edge, Graph, graph_from_obj, graph_to_json, graph_to_obj
 from leavitt.cli import main
 from leavitt.fixtures import (
     g_clock_omega,
@@ -137,6 +137,36 @@ def test_act_sv(write_graph, capsys):
         capsys, "act", write_graph(g_clock_omega()), "--module", "sv", "--expr", "u"
     )
     assert code == 2
+
+
+def _edge_into_an_infinite_emitter():
+    """An edge e from a to u, and an omega bundle b from u to w."""
+    return Graph(["a", "u", "w"], [Edge("e", "a", "u"), Edge("b", "u", "w", OMEGA)])
+
+
+def test_act_sv_prints_a_path_term(write_graph, capsys):
+    path = write_graph(_edge_into_an_infinite_emitter())
+    assert main(["act", path, "--module", "sv", "--vertex", "u", "--expr", "2 e"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == '{"module": "sv", "terms": [{"coeff": "2", "path": ["e"]}]}\n'
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    ("options", "message"),
+    [
+        (["--module", "sv", "--vertex", "u", "--expr", "2 e", "--field", "x"], "unknown field 'x'"),
+        (["--module", "chen", "--stream", "{", "--expr", "a"], "malformed stream descriptor"),
+    ],
+    ids=["unknown field", "malformed stream"],
+)
+def test_act_input_errors_exit_2(write_graph, capsys, options, message):
+    assert main(["act", write_graph(_edge_into_an_infinite_emitter()), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["exit"] == 2 and err["error"].startswith(message)
 
 
 def test_report_stable_under_reordering(tmp_path, capsys):

@@ -17,7 +17,9 @@ from leavitt import (
     SchemaError,
     UnknownEdgeError,
     bifurcation_data,
+    chen_basis_element,
     corner_report,
+    cycle_poset,
     decide_fp,
     decide_gk,
     element_from_obj,
@@ -26,6 +28,8 @@ from leavitt import (
     enumerate_hs_sets,
     graph_from_json,
     growth_profile,
+    hedgehog,
+    hereditary_closure,
     laurent_index_cardinality,
     make_path,
     parse_expression,
@@ -201,6 +205,17 @@ _WRONG_TYPES = {
     "graph_from_json(5)": lambda g, ctx: graph_from_json(5),
     "make_path(g, 'ce')": lambda g, ctx: make_path(g, "ce"),
     "ctx.path_element('ce')": lambda g, ctx: ctx.path_element("ce"),
+    "hereditary_closure(g, 5)": lambda g, ctx: hereditary_closure(g, 5),
+    "subalgebra_graph(g, ['c', 5])": lambda g, ctx: subalgebra_graph(g, ["c", 5]),
+    "hedgehog(g, ['v2'], [], 'x')": lambda g, ctx: hedgehog(g, ["v2"], [], "x"),
+    "enumerate_cycles(g, 'x')": lambda g, ctx: enumerate_cycles(g, "x"),
+    "cycle_poset(g, 'x')": lambda g, ctx: cycle_poset(g, "x"),
+    "enumerate_basis(g, 'x')": lambda g, ctx: enumerate_basis(g, "x"),
+    "enumerate_basis(g, 2, 'x')": lambda g, ctx: enumerate_basis(g, 2, "x"),
+    "chen_basis_element(g, s, None, 'x')": lambda g, ctx: chen_basis_element(g, periodic_stream(g, ["c"]), None, "x"),
+    "AlgebraContext(g, special_edges=5)": lambda g, ctx: AlgebraContext(g, special_edges=5),
+    "periodic_stream(g, 'c')": lambda g, ctx: periodic_stream(g, "c"),
+    "subalgebra_graph(g, 'ce')": lambda g, ctx: subalgebra_graph(g, "ce"),
 }
 
 
@@ -214,8 +229,30 @@ def test_wrongly_typed_arguments_raise_leavitt_errors(call):
 def test_a_path_is_not_read_from_the_letters_of_a_string():
     g = g_toeplitz()
     ctx = AlgebraContext(g)
-    for call in (lambda: make_path(g, "ce"), lambda: ctx.path_element("ce")):
+    for call in (
+        lambda: make_path(g, "ce"),
+        lambda: ctx.path_element("ce"),
+        lambda: subalgebra_graph(g, "ce"),
+        lambda: periodic_stream(g, "ce"),
+    ):
         with pytest.raises(SchemaError, match="not the string 'ce'"):
             call()
     assert make_path(g, ("c", "e")) == make_path(g, ["c", "e"])
     assert ctx.path_element(iter(["c", "e"])) == ctx.edge("c") * ctx.edge("e")
+    assert subalgebra_graph(g, iter(["c", "e"])) == subalgebra_graph(g, ["e", "c", "e"])
+    assert periodic_stream(g, ("c",)) == periodic_stream(g, ["c"])
+    with pytest.raises(SchemaError, match="not the string 'c'"):
+        periodic_stream(g, ["c"], "c")
+
+
+def test_integer_bounds_keep_their_messages():
+    g = g_toeplitz()
+    for call, message in (
+        (lambda: PrimeField("7"), "the order of a prime field must be an integer, not '7'"),
+        (lambda: growth_profile(g, "x"), "the growth bound must be an integer, not 'x'"),
+        (lambda: enumerate_hs_sets(g, "x"), "the vertex cap must be an integer, not 'x'"),
+        (lambda: bifurcation_data(AlgebraContext(g), periodic_stream(g, ["c"]), 1.0), "depth must be an integer, not 1.0"),
+    ):
+        with pytest.raises(NotSupportedError) as info:
+            call()
+        assert str(info.value) == message

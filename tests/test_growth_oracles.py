@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -18,7 +19,7 @@ from leavitt.fixtures import (
     random_cyclic_graph,
     random_graph,
 )
-from leavitt.graph import Edge, Graph, canonical_cycle, cycle_vertices
+from leavitt.graph import Edge, Graph, canonical_cycle, cycle_vertices, is_regular
 
 
 def _widened(rng: random.Random, g: Graph) -> Graph:
@@ -132,3 +133,76 @@ def test_special_edge_is_the_least_address(monkeypatch):
     # the choice reads bundle heads only, never the 10^6 addresses of a bundle
     monkeypatch.setattr(Graph, "concrete_out", None)
     assert AlgebraContext(Graph(["u", "w"], [Edge("b", "u", "w", 10**6)])).special == {"u": "b[0]"}
+
+
+def _pair_count_profile(ctx: AlgebraContext, n_max: int) -> list[int]:
+    """The growth profile as counted before the self-convolution form: a
+    double loop over the path lengths (a, b) at each vertex, less the
+    pairs that end in the special edge into that vertex."""
+    g_ = ctx.graph
+    counts = {v: [1] + [0] * n_max for v in g_.vertices}
+    for l in range(n_max):
+        for e in g_.edges:
+            counts[e.dst][l + 1] += e.mult * counts[e.src][l]
+    # special_in[v] = the path counts at the sources of the special edges
+    # with range v (at most one special edge per source vertex)
+    special_in: dict[str, list[list[int]]] = {v: [] for v in g_.vertices}
+    for addr in ctx.special.values():
+        special_in[g_.dst_of(addr)].append(counts[g_.src_of(addr)])
+
+    per_total = [0] * (n_max + 1)
+    for v in g_.vertices:
+        cv = counts[v]
+        for a in range(n_max + 1):
+            for b in range(n_max + 1 - a):
+                pairs = cv[a] * cv[b]
+                if a >= 1 and b >= 1:
+                    for cw in special_in[v]:
+                        pairs -= cw[a - 1] * cw[b - 1]
+                per_total[a + b] += pairs
+    dims = []
+    acc = 0
+    for n in range(n_max + 1):
+        acc += per_total[n]
+        dims.append(acc)
+    return dims
+
+
+def _custom_context(rng: random.Random, g: Graph) -> AlgebraContext:
+    """A context whose special edges are drawn at random, one per regular vertex."""
+    special = {v: rng.choice(g.concrete_out(v)) for v in g.vertices if is_regular(g, v) and rng.random() < 0.7}
+    return AlgebraContext(g, special_edges=special)
+
+
+def test_self_convolution_matches_the_pair_count():
+    rng = random.Random(1313)
+    custom = 0
+    for k in range(2000):
+        make = random_cyclic_graph if k % 3 == 0 else random_graph
+        g = _widened(rng, make(rng, max_vertices=6, max_edges=10))
+        ctx = _custom_context(rng, g) if k % 2 else AlgebraContext(g)
+        custom += ctx.special != AlgebraContext(g).special
+        n = rng.randint(0, 30)
+        assert growth_profile(ctx, n) == growth_profile(g, n) == _pair_count_profile(ctx, n)
+    assert custom > 500
+
+
+def test_basis_counts_do_not_depend_on_the_special_edges():
+    rng = random.Random(2718)
+    differ = 0
+    for _ in range(60):
+        g = _widened(rng, random_graph(rng, max_vertices=4, max_edges=5))
+        if all(e.mult == 1 for e in g.edges):
+            continue
+        # the greatest address instead of the least one, at every regular vertex
+        other = AlgebraContext(g, special_edges={v: max(g.concrete_out(v)) for v in g.vertices if is_regular(g, v)})
+        n = 4
+        try:
+            by_default, by_other = (enumerate_basis(ctx, n, max_basis=5_000) for ctx in (AlgebraContext(g), other))
+        except ResourceCapError:
+            continue
+        per_length = [[sum(1 for m in basis if m.total_length == k) for k in range(n + 1)] for basis in (by_default, by_other)]
+        assert per_length[0] == per_length[1]
+        assert list(accumulate(per_length[0])) == growth_profile(g, n)
+        differ += by_default != by_other
+    assert differ > 20
