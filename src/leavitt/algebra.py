@@ -29,6 +29,7 @@ from .graph import (
     Path,
     _address,
     _addresses,
+    _require_graph,
     _require_int,
     is_regular,
     make_path,
@@ -284,7 +285,7 @@ class AlgebraContext:
         field: Field = RATIONALS,
         special_edges: Mapping[str, str] | None = None,
     ):
-        self.graph = graph
+        self.graph = _require_graph(graph)
         self.field = field
         # id[0] is the least address of its bundle
         special = {
@@ -369,8 +370,8 @@ class AlgebraContext:
 
 
 def _rewrite(ctx: AlgebraContext, terms: Iterable[tuple], acc: dict) -> None:
-    """Add the normal form of each (p.base, p.edges, q.base, q.edges, n) in
-    ``terms`` to ``acc``, a map from flat keys to integer coefficients.
+    """Add the normal form of each ((p.base, p.edges, q.base, q.edges), n)
+    in ``terms`` to ``acc``, a map from flat keys to integer coefficients.
 
     While both paths of a term end in the special edge of its source w, the
     term becomes the term with that edge dropped minus the sibling terms
@@ -379,17 +380,30 @@ def _rewrite(ctx: AlgebraContext, terms: Iterable[tuple], acc: dict) -> None:
     along one chain, two edges shorter at each step.
     """
     special = ctx._special_src
-    for pb, pe, qb, qe, c in terms:
+    for key, c in terms:
+        pb, pe, qb, qe = key
         while pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
             siblings = ctx._siblings(special[pe[-1]])
             # a path is based at the source of its first edge, so the bases
             # stay put even when the dropped edge was the only one
             pe, qe = pe[:-1], qe[:-1]
             for f in siblings:
-                key = (pb, pe + (f,), qb, qe + (f,))
-                acc[key] = acc.get(key, 0) - c
-        key = (pb, pe, qb, qe)
+                k = (pb, pe + (f,), qb, qe + (f,))
+                acc[k] = acc.get(k, 0) - c
+            key = (pb, pe, qb, qe)
         acc[key] = acc.get(key, 0) + c
+
+
+def _from_terms(ctx: AlgebraContext, keys: Sequence[tuple], scalars: Sequence) -> "AlgebraElement":
+    """The element sum of c * p q* over the flat keys (p.base, p.edges,
+    q.base, q.edges) in ``keys`` and the field scalars c in ``scalars``: the
+    scalars go over one denominator, every term is rewritten in one pass,
+    and the sum is reduced once.  Repeated and non-normal keys are allowed.
+    """
+    nums, d = ctx.field.integral(scalars)
+    acc: dict[tuple, int] = {}
+    _rewrite(ctx, zip(keys, nums), acc)
+    return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
 
 
 def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
@@ -441,11 +455,11 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
                     key = (pb, pe + tail, b2, q2)
                     acc[key] = acc.get(key, 0) + c1 * c2
             elif tail:
-                reducible.extend((pb, pe + tail, b2, q2, c1 * c2) for pb, pe, c1 in lefts)
+                reducible.extend(((pb, pe + tail, b2, q2), c1 * c2) for pb, pe, c1 in lefts)
             else:
                 for pb, pe, c1 in lefts:
                     if pe and pe[-1] == end:
-                        reducible.append((pb, pe, b2, q2, c1 * c2))
+                        reducible.append(((pb, pe, b2, q2), c1 * c2))
                     else:
                         key = (pb, pe, b2, q2)
                         acc[key] = acc.get(key, 0) + c1 * c2
@@ -458,10 +472,7 @@ def normalize_monomial(
 ) -> "AlgebraElement":
     """Normal form of coeff * p q*.  ``rng`` has no effect: the term reduces
     along one chain, so there is no rewrite order to choose."""
-    (n,), d = ctx.field.integral([ctx.field.coerce(coeff)])
-    acc: dict[tuple, int] = {}
-    _rewrite(ctx, [(p.base, p.edges, q.base, q.edges, n)], acc)
-    return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
+    return _from_terms(ctx, [(p.base, p.edges, q.base, q.edges)], [ctx.field.coerce(coeff)])
 
 
 class AlgebraElement:
@@ -632,7 +643,7 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
     g = ctx.graph
     if not isinstance(obj, list):
         raise SchemaError("an element must be a list of terms")
-    pairs = []
+    keys = []
     coeffs = []
     for item in obj:
         if not (isinstance(item, dict) and _TERM_KEYS <= item.keys()):
@@ -653,12 +664,9 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
             if q is None:
                 q = Path(path_range(g, p))
         ctx._require_common_range(p, q)
-        pairs.append((p, q))
+        keys.append((p.base, p.edges, q.base, q.edges))
         coeffs.append(ctx.field.coerce(item["coeff"]))
-    nums, d = ctx.field.integral(coeffs)
-    acc: dict[tuple, int] = {}
-    _rewrite(ctx, ((p.base, p.edges, q.base, q.edges, n) for (p, q), n in zip(pairs, nums)), acc)
-    return AlgebraElement._make(ctx, *ctx.field.reduce(acc, d))
+    return _from_terms(ctx, keys, coeffs)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -753,7 +761,7 @@ def growth_profile(g, n_max: int) -> list[int]:
     """
     if _require_int(n_max, "the growth bound") < 0:
         raise NotSupportedError(f"the growth bound must be at least 0, not {n_max}")
-    g = g.graph if isinstance(g, AlgebraContext) else g
+    g = g.graph if isinstance(g, AlgebraContext) else _require_graph(g)
     _require_finite_bundles(g)
     counts = {v: [1] + [0] * n_max for v in g.vertices}
     for l in range(n_max):

@@ -52,6 +52,9 @@ class HSSet:
 def _as_vertex_set(x) -> frozenset[str]:
     if isinstance(x, HSSet):
         return x.vertices
+    # a string is an iterable of letters, not of vertex ids
+    if isinstance(x, str):
+        raise SchemaError(f"a vertex set must be a collection of vertex ids, not the string {x!r}")
     try:
         return frozenset(x)
     except TypeError:  # not iterable, or an unhashable member

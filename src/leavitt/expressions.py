@@ -10,111 +10,100 @@ Grammar:
 IDENT is a vertex id, an edge id, or a bundle address like ``b[3]``; the
 postfix ``*`` is the ghost involution (a vertex is its own ghost).  A product
 whose chain condition fails is simply zero, not an error.
+
+A word of generators is one monomial p q* or zero, using only e* e = r(e)
+and e* f = 0, so the parser makes one pass over the tokens and folds the
+factors of each term into one flat key (p.base, p.edges, q.base, q.edges).
+A term that has become zero still resolves its remaining factors, so the
+errors come in the order of the text.  The signed, scaled keys of the whole
+expression are then rewritten to normal form in one pass and reduced once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .algebra import AlgebraContext, AlgebraElement
+from .algebra import AlgebraContext, AlgebraElement, _from_terms
 from .errors import ExpressionError, UnknownEdgeError
 
+# a character that starts no token ends a match with no token, so the
+# matches of ``findall`` cover the text up to trailing whitespace
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:\[\d+\])?)"
-    r"|(?P<op>[+\-./*]))"
+    r"(\s*)(?:(\d+)|([A-Za-z_][A-Za-z0-9_']*(?:\[\d+\])?)|([+\-./*])|(?=\S))"
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# the token after the last one
+_END = ("end", "", -1)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) per token; the kind is "int", "ident" or the
+    operator character itself."""
     tokens = []
     pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
-            if src[pos:].strip():
-                raise ExpressionError(f"unexpected character {src[pos:].strip()[0]!r} at {pos}")
-            break
-        if m.group("int"):
-            tokens.append(_Token("int", m.group("int"), m.start("int")))
-        elif m.group("ident"):
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
+    for space, num, ident, op in _TOKEN_RE.findall(src):
+        text = num or ident or op
+        if not text:
+            raise ExpressionError(f"unexpected character {src[pos + len(space)]!r} at {pos}")
+        pos += len(space)
+        tokens.append(("int" if num else "ident" if ident else op, text, pos))
+        pos += len(text)
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], ctx: AlgebraContext):
-        self.tokens = tokens
-        self.i = 0
-        self.ctx = ctx
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, kind: str | None = None) -> _Token:
-        t = self.peek()
-        if t is None:
+def _take(token: tuple[str, str, int], kind: str) -> str:
+    """The text of ``token``, which must be of the given kind."""
+    if token[0] != kind:
+        if token is _END:
             raise ExpressionError("unexpected end of expression")
-        if kind is not None and t.kind != kind:
-            raise ExpressionError(f"expected {kind} at position {t.pos}, found {t.text!r}")
-        self.i += 1
-        return t
+        raise ExpressionError(f"expected {kind} at position {token[2]}, found {token[1]!r}")
+    return token[1]
 
-    def element(self) -> AlgebraElement:
-        terms = [self.term()]
-        while (t := self.peek()) is not None and t.kind in "+-":
-            self.take()
-            rhs = self.term()
-            terms.append(rhs if t.kind == "+" else -rhs)
-        if self.peek() is not None:
-            t = self.peek()
-            raise ExpressionError(f"trailing input at position {t.pos}: {t.text!r}")
-        return AlgebraElement.sum(terms)
 
-    def term(self) -> AlgebraElement:
-        coeff = None
-        if (t := self.peek()) is not None and t.kind == "int":
-            coeff = self.scalar()
-        value = self.factor()
-        while (t := self.peek()) is not None and t.kind == ".":
-            self.take()
-            value = value * self.factor()
-        if coeff is not None:
-            value = value.scale(coeff)
-        return value
+def _generator(ctx: AlgebraContext, name: str, ghost: bool) -> tuple:
+    """The flat key of the vertex, the edge or (``ghost``) the ghost edge
+    named ``name``; a vertex is its own ghost."""
+    if ctx.graph.has_vertex(name):
+        return (name, (), name, ())
+    try:
+        e = ctx.graph.resolve(name)
+    except UnknownEdgeError:
+        raise ExpressionError(f"unknown identifier {name!r}") from None
+    return (e.dst, (), e.src, (name,)) if ghost else (e.src, (name,), e.dst, ())
 
-    def scalar(self):
-        num = int(self.take("int").text)
-        if (t := self.peek()) is not None and t.kind == "/":
-            self.take()
-            den = int(self.take("int").text)
-            if den == 0:
-                raise ExpressionError("zero denominator")
-            return self.ctx.field.coerce(f"{num}/{den}")
-        return self.ctx.field.coerce(num)
 
-    def factor(self) -> AlgebraElement:
-        name = self.take("ident").text
-        ghost = False
-        if (t := self.peek()) is not None and t.kind == "*":
-            self.take()
-            ghost = True
-        if self.ctx.graph.has_vertex(name):
-            return self.ctx.vertex(name)
-        try:
-            return self.ctx.ghost(name) if ghost else self.ctx.edge(name)
-        except UnknownEdgeError:
-            raise ExpressionError(f"unknown identifier {name!r}") from None
+def _term(ctx: AlgebraContext, tokens: list, i: int) -> tuple[tuple | None, int]:
+    """The flat key of the product of the factors from ``tokens[i]`` on
+    (None for zero), and the index of the token after them.
+
+    (p q*) times a generator g h* (a vertex, an edge or a ghost edge, so g
+    or h is a vertex) is nonzero only when q and g start at the same vertex
+    and one is a prefix of the other: the generator case of the contraction
+    in ``algebra._product``.
+    """
+    key = None  # before the first factor; () once the product is zero
+    while True:
+        name = _take(tokens[i], "ident")
+        ghost = tokens[i + 1][0] == "*"
+        i += 2 if ghost else 1
+        gb, ge, hb, he = gen = _generator(ctx, name, ghost)
+        if key is None:
+            key = gen
+        elif key:
+            pb, pe, qb, qe = key
+            if qb != gb:
+                key = ()
+            elif not ge:
+                key = (pb, pe, hb, he + qe)
+            elif not qe:
+                key = (pb, pe + ge, hb, ())
+            elif qe[0] == ge[0]:
+                key = (pb, pe, hb, qe[1:])
+            else:
+                key = ()
+        if tokens[i][0] != ".":
+            return key or None, i
+        i += 1
 
 
 def parse_expression(src: str, ctx: AlgebraContext) -> AlgebraElement:
@@ -122,4 +111,34 @@ def parse_expression(src: str, ctx: AlgebraContext) -> AlgebraElement:
     tokens = _tokenize(src)
     if not tokens:
         raise ExpressionError("empty expression")
-    return _Parser(tokens, ctx).element()
+    tokens.append(_END)
+    field = ctx.field
+    keys = []
+    scalars = []
+    negative = False
+    i = 0
+    while True:
+        kind, text, _ = tokens[i]
+        scalar = field.one
+        if kind == "int":
+            num = int(text)
+            i += 1
+            if tokens[i][0] == "/":
+                den = int(_take(tokens[i + 1], "int"))
+                i += 2
+                if den == 0:
+                    raise ExpressionError("zero denominator")
+                scalar = field.coerce(f"{num}/{den}")
+            else:
+                scalar = field.coerce(num)
+        key, i = _term(ctx, tokens, i)
+        if key is not None:
+            keys.append(key)
+            scalars.append(field.neg(scalar) if negative else scalar)
+        kind, text, pos = tokens[i]
+        if kind == "end":
+            return _from_terms(ctx, keys, scalars)
+        if kind != "+" and kind != "-":
+            raise ExpressionError(f"trailing input at position {pos}: {text!r}")
+        negative = kind == "-"
+        i += 1

@@ -294,6 +294,13 @@ def _require_int(x, what: str) -> int:
     return x
 
 
+def _require_graph(x) -> Graph:
+    """``x``, which must be a :class:`Graph`."""
+    if not isinstance(x, Graph):
+        raise NotSupportedError(f"expected a Graph, not {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Paths and cycles
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .graph import (
     Graph,
     _address,
     _require_finitely_many_cycles,
+    _require_graph,
     canonical_cycle,
     condensation,
     cycle_base,
@@ -133,7 +134,7 @@ def decide_fp(g: Graph) -> FpVerdict:
     verdict holds exactly when the cycle pre-order is antisymmetric (it is
     then artinian, and the socle and quotient conditions hold).
     """
-    for e in g.edges:
+    for e in _require_graph(g).edges:
         if e.mult is OMEGA:
             return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": e.id},))
     scc = condensation(g)
@@ -185,7 +186,7 @@ def decide_gk(g: Graph) -> GkVerdict:
     the cycle pre-order is antisymmetric; the longest chain d gives the lower
     bound 2d - 1 for the growth exponent (0 when acyclic)."""
     notes = ()
-    if not g.is_row_finite():
+    if not _require_graph(g).is_row_finite():
         notes = ("graph has infinite bundles; verdict covers the listed structure only",)
     _require_finitely_many_cycles(g)
     scc = condensation(g)

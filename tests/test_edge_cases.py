@@ -216,6 +216,10 @@ _WRONG_TYPES = {
     "AlgebraContext(g, special_edges=5)": lambda g, ctx: AlgebraContext(g, special_edges=5),
     "periodic_stream(g, 'c')": lambda g, ctx: periodic_stream(g, "c"),
     "subalgebra_graph(g, 'ce')": lambda g, ctx: subalgebra_graph(g, "ce"),
+    "growth_profile(5, 3)": lambda g, ctx: growth_profile(5, 3),
+    "enumerate_basis(5, 3)": lambda g, ctx: enumerate_basis(5, 3),
+    "decide_gk(5)": lambda g, ctx: decide_gk(5),
+    "decide_fp(5)": lambda g, ctx: decide_fp(5),
 }
 
 
@@ -243,6 +247,20 @@ def test_a_path_is_not_read_from_the_letters_of_a_string():
     assert periodic_stream(g, ("c",)) == periodic_stream(g, ["c"])
     with pytest.raises(SchemaError, match="not the string 'c'"):
         periodic_stream(g, ["c"], "c")
+    # nor a vertex set: the letters of 'ab' are the vertices of this graph
+    ab = Graph(["a", "b"], [Edge("x", "a", "b")])
+    for call in (
+        lambda: hereditary_closure(ab, "ab"),
+        lambda: saturated_closure(ab, "ab"),
+        lambda: quotient(ab, "ab"),
+        lambda: quotient(ab, ["a", "b"], "ab"),
+        lambda: hedgehog(ab, "ab"),
+        lambda: hedgehog(ab, ["a", "b"], "ab"),
+    ):
+        with pytest.raises(SchemaError, match="not the string 'ab'"):
+            call()
+    assert hereditary_closure(ab, ("a",)) == {"a", "b"}
+    assert saturated_closure(ab, iter(["b"])).vertices == {"a", "b"}
 
 
 def test_integer_bounds_keep_their_messages():
