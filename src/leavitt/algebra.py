@@ -15,6 +15,7 @@ infinite emitters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -101,10 +102,14 @@ class Rationals:
     def format_integral(self, n: int, d: int) -> str:
         """``format(from_integral(n, d))`` without building the Fraction."""
         g = math.gcd(n, d)
-        return str(n // g) if d == g else f"{n // g}/{d // g}"
+        try:
+            return str(n // g) if d == g else f"{n // g}/{d // g}"
+        except ValueError:  # str() converts at most sys.get_int_max_str_digits() digits
+            limit = sys.get_int_max_str_digits()
+            raise ResourceCapError(f"a coefficient has more than {limit} digits, too long to print") from None
 
     def format(self, a) -> str:
-        return str(a)
+        return self.format_integral(a.numerator, a.denominator)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -468,7 +473,7 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
 
 
 def normalize_monomial(
-    ctx: AlgebraContext, p: Path, q: Path, coeff=1, rng: random.Random | None = None
+    ctx: AlgebraContext, p: Path, q: Path, coeff=1, rng: object = None
 ) -> "AlgebraElement":
     """Normal form of coeff * p q*.  ``rng`` has no effect: the term reduces
     along one chain, so there is no rewrite order to choose."""

@@ -23,7 +23,6 @@ from .graph import (
     condensation,
     is_regular,
     path_range,
-    vertices_on_closed_paths,
 )
 
 MAX_VERTICES_HS_DEFAULT = 20
@@ -271,15 +270,17 @@ def _relevant_vertices(g: Graph, h: frozenset[str], targets: frozenset[str]) -> 
     return frozenset(relevant)
 
 
-def _entering_paths_finite(g: Graph, h: frozenset[str], targets: frozenset[str]) -> bool:
-    """Whether finitely many paths start outside ``h`` and end in ``targets``.
+def _entering_paths_finite(
+    g: Graph, h: frozenset[str], targets: frozenset[str], relevant: frozenset[str]
+) -> bool:
+    """Whether finitely many paths start outside ``h`` and end in ``targets``;
+    ``relevant`` is ``_relevant_vertices(g, h, targets)``.
 
     Infinite exactly when a cycle outside ``h``, or an infinite bundle with
     source outside ``h``, can feed ``targets`` without entering ``h`` first.
     """
-    relevant = _relevant_vertices(g, h, targets)
-    on_cycle = vertices_on_closed_paths(g)
-    if relevant & on_cycle:
+    scc = condensation(g)
+    if any(scc.cyclic[scc.component[v]] for v in relevant):
         return False
     for e in g.edges:
         if e.mult is OMEGA and e.src not in h and (e.dst in targets or e.dst in relevant):
@@ -291,16 +292,17 @@ def _enumerate_entering_paths(
     g: Graph,
     h: frozenset[str],
     s: frozenset[str],
+    relevant: frozenset[str],
     depth_bound: int,
     complete: bool,
 ) -> tuple[list[Path], list[Path]]:
-    """Qualifying paths: (into h with interior outside h) and (ending in s).
+    """Qualifying paths: (into h with interior outside h) and (ending in s);
+    ``relevant`` is ``_relevant_vertices(g, h, h | s)``.
 
     When the sets are infinite only paths of length <= depth_bound are
     produced, and an infinite bundle contributes its index-0 representative.
     """
     targets = h | s
-    relevant = _relevant_vertices(g, h, targets)
     f1: list[Path] = []
     f2: list[Path] = []
 
@@ -363,10 +365,12 @@ def hedgehog(
     if not sset <= breaking_vertices(g, hset):
         raise NotSupportedError("s must be a subset of the breaking vertices of h")
 
-    complete = _entering_paths_finite(g, hset, hset | sset)
-    f1, f2 = _enumerate_entering_paths(g, hset, sset, depth_bound, complete)
+    targets = hset | sset
+    relevant = _relevant_vertices(g, hset, targets)
+    complete = _entering_paths_finite(g, hset, targets, relevant)
+    f1, f2 = _enumerate_entering_paths(g, hset, sset, relevant, depth_bound, complete)
 
-    base_vertices = sorted(hset | sset)
+    base_vertices = sorted(targets)
     edges: list[Edge] = []
     for e in g.edges:
         if e.src in hset or (e.src in sset and e.dst in hset):

@@ -22,6 +22,7 @@ expression are then rewritten to normal form in one pass and reduced once.
 from __future__ import annotations
 
 import re
+import sys
 
 from .algebra import AlgebraContext, AlgebraElement, _from_terms
 from .errors import ExpressionError, UnknownEdgeError
@@ -58,6 +59,15 @@ def _take(token: tuple[str, str, int], kind: str) -> str:
             raise ExpressionError("unexpected end of expression")
         raise ExpressionError(f"expected {kind} at position {token[2]}, found {token[1]!r}")
     return token[1]
+
+
+def _int(token: tuple[str, str, int]) -> int:
+    """The value of ``token``, which must be an integer."""
+    try:
+        return int(_take(token, "int"))
+    except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionError(f"the integer at position {token[2]} has more than {limit} digits") from None
 
 
 def _generator(ctx: AlgebraContext, name: str, ghost: bool) -> tuple:
@@ -118,13 +128,12 @@ def parse_expression(src: str, ctx: AlgebraContext) -> AlgebraElement:
     negative = False
     i = 0
     while True:
-        kind, text, _ = tokens[i]
         scalar = field.one
-        if kind == "int":
-            num = int(text)
+        if tokens[i][0] == "int":
+            num = _int(tokens[i])
             i += 1
             if tokens[i][0] == "/":
-                den = int(_take(tokens[i + 1], "int"))
+                den = _int(tokens[i + 1])
                 i += 2
                 if den == 0:
                     raise ExpressionError("zero denominator")

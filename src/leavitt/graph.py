@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -71,6 +72,9 @@ class Graph:
     __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_scc")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
+        # a string is an iterable of letters, not of vertex ids
+        if isinstance(vertices, str):
+            raise SchemaError(f'"vertices" must be a list of strings, not the string {vertices!r}')
         try:
             vs = tuple(vertices)
         except TypeError:
@@ -842,6 +846,9 @@ def graph_from_json(text: str) -> Graph:
         raise SchemaError(f"a graph document must be JSON text, not {type(text).__name__}")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from None
+    except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"the document has an integer of more than {limit} digits") from None
     return graph_from_obj(obj)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import AlgebraContext, AlgebraElement, Monomial
+from .algebra import AlgebraContext, AlgebraElement
 from .errors import ContextMismatchError, NotSupportedError, ResourceCapError
 from .graph import (
     OMEGA,
@@ -92,12 +92,12 @@ def periodic_stream(g: Graph, period_edges, prefix_edges=()) -> PeriodicPath:
     period = make_path(g, period_edges)
     if path_range(g, period) != period.base:
         raise NotSupportedError("period must be a closed path")
+    pre = []
     if prefix_edges:
         prefix = make_path(g, prefix_edges)
         if path_range(g, prefix) != period.base:
             raise NotSupportedError("prefix must end at the source of the period")
-    else:
-        prefix = Path(period.base)
+        pre = list(prefix.edges)
     # primitivize the period
     per = list(period.edges)
     for d in range(1, len(per) + 1):
@@ -105,12 +105,12 @@ def periodic_stream(g: Graph, period_edges, prefix_edges=()) -> PeriodicPath:
             per = per[:d]
             break
     # absorb an absorbable prefix tail, rotating the period along
-    pre = list(prefix.edges)
     while pre and pre[-1] == per[-1]:
         pre.pop()
         per = [per[-1]] + per[:-1]
-    per_path = make_path(g, per)
-    pre_path = make_path(g, pre) if pre else Path(per_path.base)
+    # a rotation of a closed path and a prefix of a path are paths
+    per_path = Path(g.src_of(per[0]), tuple(per))
+    pre_path = Path(g.src_of(pre[0]), tuple(pre)) if pre else Path(per_path.base)
     return PeriodicPath(pre_path, per_path)
 
 
@@ -175,55 +175,34 @@ def chen_basis_element(
     if _require_int(tail_index, "the tail index") < 0:
         raise NotSupportedError("tail index must be >= 0")
     if prefix is None:
-        prefix = Path(stream_vertex_after(g, stream, tail_index))
+        return _canonical(g, stream, (), tail_index)
     if path_range(g, prefix) != stream_vertex_after(g, stream, tail_index):
         raise NotSupportedError("prefix does not chain onto the stream tail")
-    edges = list(prefix.edges)
-    n = tail_index
+    return _canonical(g, stream, tuple(prefix.edges), tail_index)
+
+
+def _canonical(g: Graph, stream: StreamDescriptor, edges: tuple[str, ...], n: int) -> ChenBasisElement:
+    """The basis element ``edges`` . n-th tail of the stream, in canonical
+    form; ``edges`` must chain onto that tail."""
+    k = len(edges)
     periodic = isinstance(stream, PeriodicPath)
+    if periodic:
+        lp = len(stream.prefix.edges)
+        ell = len(stream.period.edges)
     while True:
-        if periodic:
-            lp = len(stream.prefix.edges)
-            ell = len(stream.period.edges)
-            if n >= lp:
-                n = lp + (n - lp) % ell
-        if edges and n >= 1 and edges[-1] == stream.edge_at(n):
-            edges.pop()
+        if periodic and n >= lp:
+            n = lp + (n - lp) % ell
+        if k and n >= 1 and edges[k - 1] == stream.edge_at(n):
+            k -= 1
             n -= 1
-            continue
         # a prefix may wrap backwards around the period: tail(n) = tail(n+ell)
-        if periodic and edges and n >= lp and edges[-1] == stream.edge_at(n + ell):
-            edges.pop()
+        elif periodic and k and n >= lp and edges[k - 1] == stream.edge_at(n + ell):
+            k -= 1
             n += ell - 1
-            continue
-        break
-    base = g.src_of(edges[0]) if edges else stream_vertex_after(g, stream, n)
-    return ChenBasisElement(stream, Path(base, tuple(edges)), n)
-
-
-def _strip_front(g: Graph, b: ChenBasisElement, q: Path) -> ChenBasisElement | None:
-    """Remove the path q from the front of b, or None if b does not start with q."""
-    if not q.edges:
-        return b if q.base == b.prefix.base else None
-    pe = b.prefix.edges
-    for i, addr in enumerate(q.edges):
-        have = pe[i] if i < len(pe) else b.stream.edge_at(b.tail_index + i - len(pe) + 1)
-        if have != addr:
-            return None
-    k = len(q.edges)
-    if k <= len(pe):
-        rest = pe[k:]
-        base = g.src_of(rest[0]) if rest else stream_vertex_after(g, b.stream, b.tail_index)
-        return chen_basis_element(g, b.stream, Path(base, rest), b.tail_index)
-    return chen_basis_element(g, b.stream, None, b.tail_index + (k - len(pe)))
-
-
-def _prepend(g: Graph, b: ChenBasisElement, p: Path) -> ChenBasisElement | None:
-    if path_range(g, p) != b.prefix.base:
-        return None
-    return chen_basis_element(
-        g, b.stream, Path(p.base, p.edges + b.prefix.edges), b.tail_index
-    )
+        else:
+            break
+    base = g.src_of(edges[0]) if k else stream_vertex_after(g, stream, n)
+    return ChenBasisElement(stream, Path(base, edges[:k]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +210,27 @@ def _prepend(g: Graph, b: ChenBasisElement, p: Path) -> ChenBasisElement | None:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(field, vec: dict, key, coeff) -> None:
-    new = field.add(vec.get(key, field.zero), coeff)
-    if new == field.zero:
-        vec.pop(key, None)
-    else:
-        vec[key] = new
-
-
-def _check_ctx(ctx: AlgebraContext, x: AlgebraElement) -> None:
-    if x.ctx != ctx:
+def _act(ctx: AlgebraContext, x: AlgebraElement, vec: dict, step) -> dict:
+    """Act with x on ``vec``; ``step(b, p.edges, q.base, q.edges)`` is the
+    basis element p q* sends the basis element b to, or None for zero.  p
+    and q share their range, so p always chains onto what q* leaves."""
+    if x.ctx is not ctx and x.ctx != ctx:
         raise ContextMismatchError("element belongs to a different algebra context")
+    field = ctx.field
+    add, mul, zero = field.add, field.mul, field.zero
+    d = x._den
+    out: dict = {}
+    for (_, pe, qb, qe), n in x._flat.items():
+        c = field.from_integral(n, d)
+        for b, w in vec.items():
+            t = step(b, pe, qb, qe)
+            if t is not None:
+                new = add(out.get(t, zero), mul(c, w))
+                if new == zero:
+                    out.pop(t, None)
+                else:
+                    out[t] = new
+    return out
 
 
 def chen_act(ctx: AlgebraContext, x: AlgebraElement, vec: dict) -> dict:
@@ -251,20 +240,20 @@ def chen_act(ctx: AlgebraContext, x: AlgebraElement, vec: dict) -> dict:
     the rest; an edge prepends when it chains; a ghost edge removes the first
     edge when it matches and kills the rest.
     """
-    _check_ctx(ctx, x)
     g = ctx.graph
-    field = ctx.field
-    out: dict[ChenBasisElement, object] = {}
-    for m, c in x.terms.items():
-        for b, w in vec.items():
-            t = _strip_front(g, b, m.q)
-            if t is None:
-                continue
-            t = _prepend(g, t, m.p)
-            if t is None:
-                continue
-            _accumulate(field, out, t, field.mul(c, w))
-    return out
+
+    def step(b: ChenBasisElement, pe, qb, qe) -> ChenBasisElement | None:
+        # strip q from the front of b, reading on into the stream's tail
+        be, n = b.prefix.edges, b.tail_index
+        lb = len(be)
+        if not qe and qb != b.prefix.base:
+            return None
+        for i, addr in enumerate(qe):
+            if addr != (be[i] if i < lb else b.stream.edge_at(n + i - lb + 1)):
+                return None
+        return _canonical(g, b.stream, pe + be[len(qe):], n + max(0, len(qe) - lb))
+
+    return _act(ctx, x, vec, step)
 
 
 def sv_act(ctx: AlgebraContext, v: str, x: AlgebraElement, vec: dict) -> dict:
@@ -273,38 +262,17 @@ def sv_act(ctx: AlgebraContext, v: str, x: AlgebraElement, vec: dict) -> dict:
     g = ctx.graph
     if not g.is_infinite_emitter(g.require_vertex(v)):
         raise NotSupportedError(f"{v!r} is not an infinite emitter")
-    _check_ctx(ctx, x)
-    field = ctx.field
-    out: dict[Path, object] = {}
-    for m, c in x.terms.items():
-        for b, w in vec.items():
-            if path_range(g, b) != v:
-                raise NotSupportedError(f"basis path does not end at {v!r}")
-            t = _sv_mono(g, m, b)
-            if t is None:
-                continue
-            _accumulate(field, out, t, field.mul(c, w))
-    return out
 
+    def step(b: Path, pe, qb, qe) -> Path | None:
+        if path_range(g, b) != v:
+            raise NotSupportedError(f"basis path does not end at {v!r}")
+        # a ghost edge past the end of b meets the bare vertex: zero
+        if b.edges[: len(qe)] != qe or not qe and qb != b.base:
+            return None
+        edges = pe + b.edges[len(qe):]
+        return Path(g.src_of(edges[0]), edges) if edges else Path(v)
 
-def _sv_mono(g: Graph, m: Monomial, b: Path) -> Path | None:
-    q = m.q
-    if len(q.edges) > len(b.edges):
-        return None  # a ghost edge eventually meets the bare vertex: zero
-    if not q.edges:
-        if q.base != b.base:
-            return None
-        t = b
-    else:
-        if b.edges[: len(q.edges)] != q.edges:
-            return None
-        rest = b.edges[len(q.edges):]
-        base = g.src_of(rest[0]) if rest else path_range(g, b)
-        t = Path(base, rest)
-    p = m.p
-    if path_range(g, p) != t.base:
-        return None
-    return Path(p.base, p.edges + t.edges)
+    return _act(ctx, x, vec, step)
 
 
 def singleton_vector(ctx: AlgebraContext, key, coeff=1) -> dict:
@@ -363,10 +331,8 @@ def bifurcation_data(ctx: AlgebraContext, stream: StreamDescriptor, depth: int) 
         if d < 2:
             continue
         integers.append(n)
-        head = stream_prefix(stream, n - 1)
-        head_path = (
-            make_path(g, list(head)) if head else Path(stream_source(g, stream))
-        )
+        # the stream's first n - 1 edges form a path
+        head_path = Path(stream_source(g, stream), stream_prefix(stream, n - 1))
         gen_list = []
         for f in g.concrete_out(vn):
             if f == addr:

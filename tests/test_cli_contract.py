@@ -4,6 +4,8 @@ one process can serve many requests."""
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
 
 import pytest
@@ -206,3 +208,41 @@ def test_act_without_its_module_flag_exits_2(write_graph, capsys, module, missin
     code, out, err = run_cli(capsys, "act", write_graph(g_toeplitz()), "--module", module, "--expr", "v1")
     assert code == 2 and out is None
     assert err == {"error": missing, "exit": 2}
+
+
+def _primes_from(start: int):
+    n = start
+    while True:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            yield n
+        n += 1
+
+
+def test_integers_past_the_digit_limit_exit_2_or_3(write_graph, tmp_path, capsys):
+    # int() and str() convert at most this many digits; the limit stays as it is
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is not limited in this interpreter")
+    toeplitz = write_graph(g_toeplitz())
+    long_int = "9" * (limit + 700)
+    code, out, err = run_cli(capsys, "eval", toeplitz, "--expr", f"{long_int} v1")
+    assert code == 2 and out is None
+    assert err == {"error": f"the integer at position 0 has more than {limit} digits", "exit": 2}
+    code, out, err = run_cli(capsys, "act", toeplitz, "--module", "chen", "--stream",
+                             '{"kind":"periodic","period":["c"]}', "--expr", f"1/{long_int} v1")
+    assert code == 2 and err == {"error": f"the integer at position 2 has more than {limit} digits", "exit": 2}
+    doc = tmp_path / "long_mult.json"
+    doc.write_text('{"vertices": ["u", "w"], "edges": [{"id": "b", "src": "u", "dst": "w", "mult": %s}]}' % long_int)
+    code, out, err = run_cli(capsys, "validate", str(doc))
+    assert code == 2 and out is None
+    assert err == {"error": f"the document has an integer of more than {limit} digits", "exit": 2}
+    # the sum of 1/p over enough primes p has a denominator too long to print
+    terms, digits = [], 0.0
+    for p in _primes_from(1009):
+        terms.append(f"1/{p} v1")
+        digits += math.log10(p)
+        if digits > limit + 100:
+            break
+    code, out, err = run_cli(capsys, "eval", toeplitz, "--expr", " + ".join(terms))
+    assert code == 3 and out is None
+    assert err == {"error": f"a coefficient has more than {limit} digits, too long to print", "exit": 3}

@@ -377,9 +377,10 @@ def test_entering_paths_match_the_address_listing_walk():
         h = hereditary_closure(g, rng.sample(g.vertices, rng.randint(1, len(g.vertices))))
         breaking = sorted(breaking_vertices(g, h))
         s = frozenset(rng.sample(breaking, rng.randint(0, len(breaking))))
-        complete = _entering_paths_finite(g, h, h | s)
+        relevant = _relevant_vertices(g, h, h | s)
+        complete = _entering_paths_finite(g, h, h | s, relevant)
         depth = rng.randint(1, 4)
-        assert _enumerate_entering_paths(g, h, s, depth, complete) == _old_enumerate_entering_paths(
+        assert _enumerate_entering_paths(g, h, s, relevant, depth, complete) == _old_enumerate_entering_paths(
             g, h, s, depth, complete
         )
 

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+import typing
+from fractions import Fraction
 
 import pytest
 
 from leavitt import (
+    RATIONALS,
     AlgebraContext,
     Edge,
+    ExpressionError,
     Graph,
     LeavittError,
     NotSupportedError,
     OMEGA,
     PrimeField,
+    ResourceCapError,
     SchemaError,
     UnknownEdgeError,
     bifurcation_data,
@@ -32,6 +39,7 @@ from leavitt import (
     hereditary_closure,
     laurent_index_cardinality,
     make_path,
+    normalize_monomial,
     parse_expression,
     periodic_stream,
     quotient,
@@ -261,6 +269,10 @@ def test_a_path_is_not_read_from_the_letters_of_a_string():
             call()
     assert hereditary_closure(ab, ("a",)) == {"a", "b"}
     assert saturated_closure(ab, iter(["b"])).vertices == {"a", "b"}
+    # nor the vertices of a graph
+    with pytest.raises(SchemaError, match="not the string 'abc'"):
+        Graph("abc", [])
+    assert Graph(iter(["c", "a", "b"]), []).vertices == ("a", "b", "c")
 
 
 def test_integer_bounds_keep_their_messages():
@@ -274,3 +286,50 @@ def test_integer_bounds_keep_their_messages():
         with pytest.raises(NotSupportedError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_integers_past_the_digit_limit_raise_leavitt_errors():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is not limited in this interpreter")
+    ctx = AlgebraContext(g_toeplitz())
+    long_int = "9" * (limit + 1)
+    with pytest.raises(ExpressionError, match=f"the integer at position 5 has more than {limit} digits"):
+        parse_expression(f"v1 + {long_int} v1", ctx)
+    with pytest.raises(ExpressionError, match=f"the integer at position 2 has more than {limit} digits"):
+        parse_expression(f"1/{long_int} v1", ctx)
+    with pytest.raises(SchemaError, match=f"more than {limit} digits"):
+        graph_from_json('{"vertices": ["u"], "edges": [{"id": "b", "src": "u", "dst": "u", "mult": %s}]}' % long_int)
+    big = 10 ** (limit + 1)
+    for call in (
+        lambda: RATIONALS.format_integral(1, big),
+        lambda: RATIONALS.format_integral(big, 1),
+        lambda: RATIONALS.format(Fraction(1, big)),
+        lambda: str(ctx.vertex("v1").scale(Fraction(1, big))),
+    ):
+        with pytest.raises(ResourceCapError, match=f"more than {limit} digits"):
+            call()
+    # exactly the limit still converts
+    assert parse_expression(f"{'9' * limit} v1", ctx).to_obj()[0]["coeff"] == "9" * limit
+
+
+def test_undecodable_bytes_are_malformed_json():
+    with pytest.raises(SchemaError, match="malformed JSON"):
+        graph_from_json(b'{"vertices": ["\xff"]}')
+
+
+def test_public_annotations_resolve():
+    import leavitt
+
+    for name in dir(leavitt):
+        obj = getattr(leavitt, name)
+        if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        typing.get_type_hints(obj)
+        if inspect.isclass(obj):
+            for _, method in inspect.getmembers(obj, inspect.isfunction):
+                typing.get_type_hints(method)
+    # rng has no effect, but the keyword is kept
+    ctx = AlgebraContext(g_toeplitz())
+    p = make_path(ctx.graph, ["c"])
+    assert normalize_monomial(ctx, p, p, rng=random.Random(1)) == normalize_monomial(ctx, p, p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -263,11 +264,18 @@ def test_errors_keep_their_order_after_a_zero_term():
         "e.c.c + $",  # a bad character is found before anything is evaluated
         "e*.c..c",
         "e.e 3",
-        "9" * 5000 + " v1",  # too many digits for int(): the same ValueError
     ):
         want = _outcome(oracle_parse, text, ctx)
         assert isinstance(want[0], type), text
         assert _outcome(parse_expression, text, ctx) == want, text
+    # too many digits for int(): where the oracle lets ValueError escape,
+    # the parser raises ExpressionError, still before it reads the name
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        text = "9" * (limit + 700) + " unknown"
+        assert _outcome(oracle_parse, text, ctx)[0] is ValueError
+        want = (ExpressionError, f"the integer at position 0 has more than {limit} digits")
+        assert _outcome(parse_expression, text, ctx) == want
 
 
 def test_a_term_of_many_factors_calls_no_product(monkeypatch):
