@@ -132,8 +132,12 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; cost grows with the digits of ``n``, not
     with its square root."""
-    if n >= _MR_BOUND:
-        raise NotSupportedError(f"primality is decided only below {_MR_BOUND}, not for {n}")
+    # the size of a rejected n, not its digits: str() converts at most
+    # sys.get_int_max_str_digits() digits (and PrimeField prints the n < 2)
+    if abs(n) >= _MR_BOUND:
+        raise NotSupportedError(
+            f"primality is decided only below {_MR_BOUND} in absolute value, not for an integer of {n.bit_length()} bits"
+        )
     if n < 2:
         return False
     for b in _MR_BASES:

@@ -35,6 +35,7 @@ from .graph import (
     MAX_CYCLES_DEFAULT,
     Graph,
     Path,
+    _json_value,
     classify_vertex,
     condition_K,
     condition_L,
@@ -59,14 +60,15 @@ from .structure import (
 
 
 def _read_graph(path: str) -> Graph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    # text, not bytes: json.loads would take bytes in UTF-16 or with a BOM
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from None
     return graph_from_json(text)
 
 
@@ -148,11 +150,7 @@ def _act(g: Graph, args) -> dict:
     x = parse_expression(args.expr, ctx)
     fmt, one = ctx.field.format, ctx.field.one
     if args.module == "chen":
-        try:
-            desc = json.loads(args.stream)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed stream descriptor: {exc}") from None
-        start = chen_basis_element(g, stream_from_obj(g, desc))
+        start = chen_basis_element(g, stream_from_obj(g, _json_value(args.stream, "stream descriptor")))
         vec = chen_act(ctx, x, {start: one})
         terms = [
             {"prefix": list(k.prefix.edges), "tailIndex": k.tail_index, "coeff": fmt(c)}

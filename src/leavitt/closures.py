@@ -18,6 +18,7 @@ from .graph import (
     _address,
     _addressed_bundle,
     _as_addresses,
+    _regular_out,
     _require_int,
     classify_vertex,
     condensation,
@@ -78,7 +79,7 @@ class SaturatedClosure:
     def __init__(self, g: Graph):
         self.graph = g
         self.vertices: set[str] = set()
-        self._outside = {v: len(g.out_bundles(v)) for v in g.vertices if is_regular(g, v)}
+        self._outside = {v: len(bs) for v, bs in g._out.items() if _regular_out(bs)}
 
     def add(self, seed: Iterable[str]) -> list[str]:
         """Grow the set to the closure of itself and ``seed``; returns the

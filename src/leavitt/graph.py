@@ -14,11 +14,11 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import prod
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     InfinitelyManyCyclesError,
@@ -56,14 +56,18 @@ Mult = Union[int, _Omega]
 _ADDRESS_RE = re.compile(r"^(.*?)\[(\d+)\]$")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An edge bundle: ``mult`` parallel edges from ``src`` to ``dst``."""
 
     id: str
     src: str
     dst: str
     mult: Mult = 1
+
+
+# an Edge from its four fields, as Edge(...) builds it but without the call
+# of the Python-level Edge.__new__: graph_from_obj builds one per edge object
+_new_edge = partial(tuple.__new__, Edge)
 
 
 class Graph:
@@ -81,10 +85,7 @@ class Graph:
             raise SchemaError('"vertices" must be a list of strings') from None
         if not all(isinstance(v, str) for v in vs):
             raise SchemaError('"vertices" must be a list of strings')
-        vs = tuple(sorted(vs))
-        vset = set(vs)
-        if len(vset) != len(vs):
-            raise SchemaError("duplicate vertex ids")
+        vs = _distinct_sorted(vs)
         try:
             items = iter(edges)
         except TypeError:
@@ -102,16 +103,22 @@ class Graph:
             if not (m is OMEGA or (isinstance(m, int) and not isinstance(m, bool) and m >= 1)):
                 raise SchemaError(f"edge {e.id!r}: multiplicity must be a positive integer or omega")
             norm.append(e)
-        norm.sort(key=attrgetter("id"))
-        es = tuple(norm)
+        self._index(vs, norm)
+
+    def _index(self, vs: tuple[str, ...], edges: list[Edge]) -> None:
+        """Make the graph-level checks and build each lookup table once.
+        ``vs`` are the sorted distinct vertex ids and ``edges`` are records
+        whose fields have been checked; they are sorted in place."""
+        edges.sort(key=attrgetter("id"))
+        es = tuple(edges)
         by_id = {e.id: e for e in es}
         if len(by_id) != len(es):
             raise SchemaError("duplicate edge ids")
-        if not vset.isdisjoint(by_id):
+        if not by_id.keys().isdisjoint(vs):
             raise SchemaError("vertex and edge ids must be distinct")
         # one pass in id order: the first edge with an undeclared endpoint raises
-        out: dict[str, list[Edge]] = {v: [] for v in vs}
-        inc: dict[str, list[Edge]] = {v: [] for v in vs}
+        out: dict = {v: [] for v in vs}
+        inc: dict = {v: [] for v in vs}
         for e in es:
             try:
                 out[e.src].append(e)
@@ -125,20 +132,23 @@ class Graph:
                 owner = _addressed_bundle(xid, by_id) if "]" in xid else None
                 if owner is not None:
                     raise SchemaError(f"{kind} id {xid!r} is the address of an edge of bundle {owner!r}")
-        # successors in sorted order without a sort: visiting the targets in
-        # sorted order appends each to its sources' lists, once per source
-        succ: dict[str, list[str]] = {v: [] for v in vs}
-        for w in vs:
-            for e in inc[w]:
-                ws = succ[e.src]
-                if not ws or ws[-1] != w:
-                    ws.append(w)
+        # successors in sorted order; a vertex with at most one bundle needs
+        # no set and no sort
+        succ = {}
+        for v, bs in out.items():
+            out[v] = bs = tuple(bs)
+            if len(bs) < 2:
+                succ[v] = (bs[0].dst,) if bs else ()
+            else:
+                succ[v] = tuple(sorted({e.dst for e in bs}))
+        for v, bs in inc.items():
+            inc[v] = tuple(bs)
         self.vertices = vs
         self.edges = es
-        self._out = {v: tuple(bs) for v, bs in out.items()}
-        self._in = {v: tuple(bs) for v, bs in inc.items()}
+        self._out = out
+        self._in = inc
         self._by_id = by_id
-        self._succ = {v: tuple(ws) for v, ws in succ.items()}
+        self._succ = succ
 
     def __setattr__(self, name, value):
         if hasattr(self, "_by_id") and name in self.__slots__ and hasattr(self, name):
@@ -161,7 +171,7 @@ class Graph:
 
     def require_vertex(self, v: str) -> str:
         if not (isinstance(v, str) and v in self._out):
-            raise UnknownVertexError(f"unknown vertex {v!r}")
+            raise _unknown_vertex(v)
         return v
 
     def bundle(self, edge_id: str) -> Edge:
@@ -184,8 +194,11 @@ class Graph:
 
     def out_degree(self, v: str) -> Mult:
         """Number of concrete edges emitted by ``v`` (``OMEGA`` if infinite)."""
+        bs = self._out.get(v) if isinstance(v, str) else None
+        if bs is None:
+            raise _unknown_vertex(v)
         total = 0
-        for e in self.out_bundles(v):
+        for e in bs:
             if e.mult is OMEGA:
                 return OMEGA
             total += e.mult
@@ -253,6 +266,18 @@ class Graph:
             seen.add(v)
             todo.extend(w for w in self._succ[v] if w not in seen)
         return frozenset(seen)
+
+
+def _unknown_vertex(v) -> UnknownVertexError:
+    return UnknownVertexError(f"unknown vertex {v!r}")
+
+
+def _distinct_sorted(vs) -> tuple[str, ...]:
+    """The vertex ids ``vs`` in sorted order, which must be distinct."""
+    vs = tuple(sorted(vs))
+    if len(set(vs)) != len(vs):
+        raise SchemaError("duplicate vertex ids")
+    return vs
 
 
 def _indexes(e: Edge, index: str) -> bool:
@@ -439,7 +464,7 @@ class VertexClass:
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:
     """Classify ``v`` as a sink, a regular vertex, or an infinite emitter."""
-    d = g.out_degree(g.require_vertex(v))
+    d = g.out_degree(v)
     if d is OMEGA:
         return VertexClass(INFINITE_EMITTER)
     if d == 0:
@@ -448,8 +473,22 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
 
 
 def is_regular(g: Graph, v: str) -> bool:
-    d = g.out_degree(v)
-    return d is not OMEGA and d > 0
+    """Whether ``v`` emits finitely many edges, and at least one."""
+    bs = g._out.get(v) if isinstance(v, str) else None
+    if bs is None:
+        raise _unknown_vertex(v)
+    return _regular_out(bs)
+
+
+def _regular_out(bs: tuple[Edge, ...]) -> bool:
+    """Whether the out-bundles ``bs`` of a vertex make it regular: there is
+    one at least, and none is infinite."""
+    if not bs:
+        return False
+    for e in bs:
+        if e.mult is OMEGA:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +843,11 @@ _EDGE_KEYS = frozenset(("id", "src", "dst", "mult"))
 
 
 def graph_from_obj(obj) -> Graph:
-    """Validate a JSON object against the graph schema and build the graph."""
+    """Validate a JSON object against the graph schema and build the graph.
+
+    Each edge object is checked once, here, and becomes an :class:`Edge`;
+    the graph-level checks are those of :class:`Graph`.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("graph document must be a JSON object")
     extra = set(obj) - {"vertices", "edges"}
@@ -833,8 +876,10 @@ def graph_from_obj(obj) -> Graph:
             mult = OMEGA
         elif not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise SchemaError(f"edge {eid!r}: mult must be a positive integer or \"omega\"")
-        built.append(Edge(eid, src, dst, mult))
-    return Graph(verts, built)
+        built.append(_new_edge((eid, src, dst, mult)))
+    g = object.__new__(Graph)
+    g._index(_distinct_sorted(verts), built)
+    return g
 
 
 def graph_to_json(g: Graph) -> str:
@@ -844,11 +889,20 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     if not isinstance(text, (str, bytes, bytearray)):
         raise SchemaError(f"a graph document must be JSON text, not {type(text).__name__}")
+    return graph_from_obj(_json_value(text, "JSON"))
+
+
+def _json_value(text: str | bytes | bytearray, what: str):
+    """The value of the JSON document ``text``, which ``what`` names in the
+    error for text that is not JSON.  A document nested too deeply for the
+    decoder, or with an integer too long to convert, raises
+    :class:`SchemaError` too."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"malformed JSON: {exc}") from None
+        raise SchemaError(f"malformed {what}: {exc}") from None
+    except RecursionError:
+        raise SchemaError("the document nests deeper than the JSON decoder allows") from None
     except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
         limit = sys.get_int_max_str_digits()
         raise SchemaError(f"the document has an integer of more than {limit} digits") from None
-    return graph_from_obj(obj)

@@ -3,6 +3,7 @@ one process can serve many requests."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -198,6 +199,40 @@ def test_unreadable_graph_path_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", missing)
     assert code == 2 and out is None
     assert err["exit"] == 2 and err["error"].startswith(f"cannot read {missing}: ")
+
+
+def test_a_graph_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out is None
+    assert err["exit"] == 2 and err["error"].startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "validate", "-")
+    assert code == 2 and out is None
+    assert err["exit"] == 2 and err["error"].startswith("cannot read stdin: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_json_nested_too_deeply_exits_2(write_graph, tmp_path, capsys):
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    nested = {"error": "the document nests deeper than the JSON decoder allows", "exit": 2}
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out is None and err == nested
+    toeplitz = write_graph(g_toeplitz())
+    code, out, err = run_cli(capsys, "act", toeplitz, "--module", "chen", "--stream", deep, "--expr", "v1")
+    assert code == 2 and out is None and err == nested
+
+
+def test_a_stream_with_an_integer_past_the_digit_limit_exits_2(write_graph, capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is not limited in this interpreter")
+    stream = '{"kind": "periodic", "period": %s}' % ("9" * (limit + 700))
+    code, out, err = run_cli(capsys, "act", write_graph(g_toeplitz()), "--module", "chen", "--stream", stream, "--expr", "v1")
+    assert code == 2 and out is None
+    assert err == {"error": f"the document has an integer of more than {limit} digits", "exit": 2}
 
 
 @pytest.mark.parametrize(

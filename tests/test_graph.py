@@ -167,6 +167,22 @@ def test_condition_K_needs_two_distinct_returns():
     assert condition_K(g2) is True
 
 
+def test_edge_record_contract():
+    e = Edge("e", "u", "w")
+    assert Edge._fields == ("id", "src", "dst", "mult")
+    assert (e.id, e.src, e.dst, e.mult) == ("e", "u", "w", 1)
+    assert repr(e) == "Edge(id='e', src='u', dst='w', mult=1)"
+    assert repr(Edge("b", "u", "u", OMEGA)) == "Edge(id='b', src='u', dst='u', mult=omega)"
+    for field in ("id", "src", "dst", "mult", "label"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, "x")
+    assert e == Edge("e", "u", "w", 1) and hash(e) == hash(Edge("e", "u", "w", 1))
+    assert {e, Edge(id="e", src="u", dst="w")} == {e}
+    assert e != Edge("e", "u", "w", 2)
+    # a named tuple: a record equals the tuple of its four fields
+    assert e == ("e", "u", "w", 1)
+
+
 def test_graph_json_round_trip():
     for g in (g_loop(), g_toeplitz(), g_clock_omega(), g_loop_chain(3)):
         assert graph_from_json(graph_to_json(g)) == g

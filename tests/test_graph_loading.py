@@ -6,23 +6,31 @@ sorted tuple per vertex for the successor and predecessor lists, checked
 each edge's keys with a new set, and kept an on-stack set in the SCC pass.
 On seeded documents, valid and invalid, both loaders must raise the same
 first ``SchemaError`` or build equal graphs with equal condensations.
+
+The second oracle, at the end, is the two-pass loader that one validating
+pass replaced. It is held to the same rule on seeded documents and on
+seeded direct ``Graph(...)`` calls.
 """
 
 from __future__ import annotations
 
 import copy
 import random
+from operator import attrgetter
 from typing import Iterable
 
 import pytest
 
 from leavitt.errors import SchemaError
 from leavitt.graph import (
+    _EDGE_KEYS,
     OMEGA,
     Condensation,
     Edge,
+    Graph,
     Mult,
     _addressed_bundle,
+    _tarjan,
     condensation,
     graph_from_obj,
 )
@@ -315,3 +323,228 @@ def test_condensations_match_the_oracle_on_larger_graphs():
         old = _oracle_graph_from_obj(doc)
         assert g._succ == old._succ
         assert condensation(g) == _oracle_tarjan(old)
+
+
+# ---------------------------------------------------------------------------
+# The two-pass loader
+# ---------------------------------------------------------------------------
+#
+# ``graph_from_obj`` and ``Graph.__init__`` as they were before loading became
+# one validating pass, kept as they were except for their names and the class
+# docstring: the document loader type-checked each edge, built an ``Edge`` and
+# handed the list to the constructor, which type-checked every edge again and
+# built the tables in separate passes (the successor lists from the incoming
+# bundles).
+
+
+class _TwoPassGraph:
+    """The two-pass ``Graph.__init__``, with the attributes it filled."""
+
+    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_scc")
+
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
+        # a string is an iterable of letters, not of vertex ids
+        if isinstance(vertices, str):
+            raise SchemaError(f'"vertices" must be a list of strings, not the string {vertices!r}')
+        try:
+            vs = tuple(vertices)
+        except TypeError:
+            raise SchemaError('"vertices" must be a list of strings') from None
+        if not all(isinstance(v, str) for v in vs):
+            raise SchemaError('"vertices" must be a list of strings')
+        vs = tuple(sorted(vs))
+        vset = set(vs)
+        if len(vset) != len(vs):
+            raise SchemaError("duplicate vertex ids")
+        try:
+            items = iter(edges)
+        except TypeError:
+            raise SchemaError('"edges" must be a list') from None
+        norm = []
+        for e in items:
+            if not isinstance(e, Edge):
+                try:
+                    e = Edge(*e)
+                except TypeError:
+                    raise SchemaError("each edge must be an Edge or an (id, src, dst[, mult]) tuple") from None
+            if not (isinstance(e.id, str) and isinstance(e.src, str) and isinstance(e.dst, str)):
+                raise SchemaError("edge id/src/dst must be strings")
+            m = e.mult
+            if not (m is OMEGA or (isinstance(m, int) and not isinstance(m, bool) and m >= 1)):
+                raise SchemaError(f"edge {e.id!r}: multiplicity must be a positive integer or omega")
+            norm.append(e)
+        norm.sort(key=attrgetter("id"))
+        es = tuple(norm)
+        by_id = {e.id: e for e in es}
+        if len(by_id) != len(es):
+            raise SchemaError("duplicate edge ids")
+        if not vset.isdisjoint(by_id):
+            raise SchemaError("vertex and edge ids must be distinct")
+        # one pass in id order: the first edge with an undeclared endpoint raises
+        out: dict[str, list[Edge]] = {v: [] for v in vs}
+        inc: dict[str, list[Edge]] = {v: [] for v in vs}
+        for e in es:
+            try:
+                out[e.src].append(e)
+                inc[e.dst].append(e)
+            except KeyError:
+                raise SchemaError(f"edge {e.id!r} has undeclared endpoint") from None
+        # every concrete edge has one address: no edge or vertex id may also
+        # be the address of an edge of another bundle
+        for kind, xids in (("edge", by_id), ("vertex", vs)):
+            for xid in xids:
+                owner = _addressed_bundle(xid, by_id) if "]" in xid else None
+                if owner is not None:
+                    raise SchemaError(f"{kind} id {xid!r} is the address of an edge of bundle {owner!r}")
+        # successors in sorted order without a sort: visiting the targets in
+        # sorted order appends each to its sources' lists, once per source
+        succ: dict[str, list[str]] = {v: [] for v in vs}
+        for w in vs:
+            for e in inc[w]:
+                ws = succ[e.src]
+                if not ws or ws[-1] != w:
+                    ws.append(w)
+        self.vertices = vs
+        self.edges = es
+        self._out = {v: tuple(bs) for v, bs in out.items()}
+        self._in = {v: tuple(bs) for v, bs in inc.items()}
+        self._by_id = by_id
+        self._succ = {v: tuple(ws) for v, ws in succ.items()}
+
+
+def _two_pass_graph_from_obj(obj) -> _TwoPassGraph:
+    """Validate a JSON object against the graph schema and build the graph."""
+    if not isinstance(obj, dict):
+        raise SchemaError("graph document must be a JSON object")
+    extra = set(obj) - {"vertices", "edges"}
+    if extra:
+        raise SchemaError(f"unexpected keys: {sorted(extra)}")
+    verts = obj.get("vertices")
+    edges = obj.get("edges", [])
+    if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
+        raise SchemaError('"vertices" must be a list of strings')
+    if not isinstance(edges, list):
+        raise SchemaError('"edges" must be a list')
+    built = []
+    for item in edges:
+        if not isinstance(item, dict):
+            raise SchemaError("each edge must be an object")
+        if not item.keys() <= _EDGE_KEYS:
+            raise SchemaError(f"edge has unexpected keys: {sorted(item.keys() - _EDGE_KEYS)}")
+        try:
+            eid, src, dst = item["id"], item["src"], item["dst"]
+        except KeyError as k:
+            raise SchemaError(f"edge missing key {k}") from None
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
+            raise SchemaError("edge id/src/dst must be strings")
+        mult = item.get("mult", 1)
+        if mult == "omega":
+            mult = OMEGA
+        elif not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+            raise SchemaError(f"edge {eid!r}: mult must be a positive integer or \"omega\"")
+        built.append(Edge(eid, src, dst, mult))
+    return _TwoPassGraph(verts, built)
+
+
+def _assert_same_graph(g, old, case):
+    assert g.vertices == old.vertices, case
+    assert g.edges == old.edges and all(type(e) is Edge for e in g.edges), case
+    assert g._out == old._out and g._in == old._in, case
+    assert g._by_id == old._by_id, case
+    assert g._succ == old._succ, case
+    assert condensation(g) == _tarjan(old), case
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_one_pass_loading_matches_the_two_pass_loader(seed):
+    valid = invalid = 0
+    for doc in _documents(seed, 1500):
+        g, err = _load(graph_from_obj, doc)
+        old, old_err = _load(_two_pass_graph_from_obj, doc)
+        assert err == old_err, doc
+        if err is not None:
+            invalid += 1
+            continue
+        valid += 1
+        _assert_same_graph(g, old, doc)
+    assert valid >= 400 and invalid >= 400, (valid, invalid)
+
+
+_ODD_EDGES = [("e", "v0"), ("e", "v0", "v0", 1, 2), 5, None, "ab", "abc", {"id": "e"}, [], ["m", "v0", "v0"]]
+_ODD_VERTICES = [1, None, ["v0"], b"v0", 2.5]
+
+
+def _graph_call(rng: random.Random):
+    """The arguments of one direct ``Graph(...)`` call, as a function that
+    builds them afresh (a generator is read once): ``Edge`` records and
+    tuples with or without a multiplicity, with up to three faults at once,
+    some of them wrong types or wrong shapes."""
+    doc = _clean(rng)
+    verts = list(doc["vertices"])
+    edges: list = []
+    for e in doc.get("edges", []):
+        mult = OMEGA if e.get("mult") == "omega" else e.get("mult", 1)
+        fields = (e["id"], e["src"], e["dst"]) + ((mult,) if "mult" in e or rng.random() < 0.5 else ())
+        edges.append(Edge(*fields) if rng.random() < 0.5 else fields)
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        kind = rng.choices(range(9), weights=(3, 3, 3, 3, 3, 3, 2, 1, 3))[0]
+        # faults of one edge go to an edge with three fields or four
+        proper = [k for k, e in enumerate(edges) if isinstance(e, tuple) and 3 <= len(e) <= 4]
+        i = rng.choice(proper) if proper else None
+        if kind == 0 and verts:
+            verts.insert(rng.randint(0, len(verts)), rng.choice(verts))  # duplicate vertex id
+        elif kind == 1 and edges:
+            edges.insert(rng.randint(0, len(edges)), rng.choice(edges))  # duplicate edge id
+        elif kind == 2 and proper and verts:
+            edges[i] = (rng.choice(verts),) + tuple(edges[i][1:])  # vertex and edge id overlap
+        elif kind == 3 and proper:
+            e = tuple(edges[i])
+            edges[i] = (e[0], rng.choice([e[1], "zz"]), rng.choice(["zz", "b[1]"])) + e[3:]  # undeclared
+        elif kind == 4 and proper:
+            edges[i] = Edge(*edges[i][:3], rng.choice(_BAD_MULTS + ["omega", 2.0]))  # bad multiplicity
+        elif kind == 5 and proper:
+            e = list(edges[i])
+            e[rng.randrange(3)] = rng.choice(_BAD_STRINGS)
+            edges[i] = Edge(*e) if rng.random() < 0.5 else tuple(e)  # a field of the wrong type
+        elif kind == 6:
+            edges.insert(rng.randint(0, len(edges)), rng.choice(_ODD_EDGES))  # not an edge
+        elif kind == 7:
+            verts.insert(rng.randint(0, len(verts)), rng.choice(_ODD_VERTICES))  # not a vertex id
+        elif kind == 8 and proper and isinstance(edges[i][0], str):
+            # an address of another bundle's edge as a vertex or an edge id
+            b = edges[i]
+            edges[i] = Edge(*b[:3], rng.choice([2, 3, OMEGA]))
+            addr = f"{b[0]}[{rng.choice(['0', '1', '01', '2', '10'])}]"
+            if rng.random() < 0.5:
+                verts.append(addr)
+            else:
+                edges.append((addr, b[1], b[2]))
+    # the containers themselves: any iterable, or something that is not one
+    vform = rng.choice([list] * 8 + [tuple, iter, lambda vs: " ".join(map(str, vs)), lambda vs: None, lambda vs: 5])
+    eform = rng.choice([list] * 8 + [tuple, iter, lambda es: None, lambda es: 5])
+    return lambda: (vform(list(verts)), eform(list(edges)))
+
+
+def _construct(cls, args):
+    try:
+        return cls(*args()), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_direct_graph_calls_match_the_two_pass_constructor(seed):
+    rng = random.Random(seed)
+    valid = invalid = 0
+    for _ in range(800):
+        args = _graph_call(rng)
+        g, err = _construct(Graph, args)
+        old, old_err = _construct(_TwoPassGraph, args)
+        assert err == old_err, args()
+        if err is not None:
+            assert err[0] is SchemaError, err
+            invalid += 1
+            continue
+        valid += 1
+        _assert_same_graph(g, old, args())
+    assert valid >= 150 and invalid >= 400, (valid, invalid)

@@ -45,6 +45,13 @@ def test_modulus_above_the_bound_is_rejected():
         PrimeField(2**89 - 1)
 
 
+def test_an_order_too_long_to_print_is_rejected_by_its_size():
+    # str() of these raises ValueError past sys.get_int_max_str_digits() digits
+    for p in (10**5000, -(10**5000)):
+        with pytest.raises(NotSupportedError, match="not for an integer of 16610 bits"):
+            PrimeField(p)
+
+
 def test_scalar_whose_denominator_p_divides_is_rejected():
     field = PrimeField(7)
     for x in ("1/7", Fraction(1, 7), "3/14"):
