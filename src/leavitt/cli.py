@@ -60,13 +60,17 @@ from .structure import (
 
 
 def _read_graph(path: str) -> Graph:
-    # text, not bytes: json.loads would take bytes in UTF-16 or with a BOM
+    # a file is read as bytes in one unbuffered read and decoded, which is
+    # cheaper than text mode; json.loads still gets text, as it would take
+    # bytes in UTF-16 or with a BOM
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb", buffering=0) as fh:
+                text = fh.read().decode("utf-8")
+            if "\r" in text:  # the newlines text mode reads as "\n"
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from None
     return graph_from_json(text)
@@ -252,8 +256,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, dict]]:
+    """The top-level parser, each subcommand's own parser by name, and each
+    subcommand's options by name: flag -> the argparse action that reads it."""
     ap = _Parser(
         prog="leavitt",
         description="Graph-algebra analysis: verdicts, closures, derived graphs, "
@@ -261,15 +266,19 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    flags = {}
     for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph JSON file, or - for stdin")
-        p.add_argument("--max-cycles", type=int, default=MAX_CYCLES_DEFAULT)
-        p.add_argument("--max-vertices-hs", type=int, default=MAX_VERTICES_HS_DEFAULT)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+        table = flags[name] = {}
+        for flag, kwargs in (
+            ("--max-cycles", {"type": int, "default": MAX_CYCLES_DEFAULT}),
+            ("--max-vertices-hs", {"type": int, "default": MAX_VERTICES_HS_DEFAULT}),
+            *options,
+        ):
+            table[flag] = p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-    return ap, sub.choices
+    return ap, sub.choices, flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,23 +286,65 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, dict]]:
     # building the parsers costs more than many requests; parsing leaves them unchanged
     return _build_parsers()
+
+
+def _plain_args(command: str, args: list[str], flags: dict) -> argparse.Namespace | None:
+    """What the subcommand's parser reads from ``args``, when they have the
+    plain shape: exact flags from ``flags``, each followed by one value that
+    does not start with "-" (but may be "-"), and one positional, the graph.
+    Any other shape, or a value the parser would refuse, gives None."""
+    ns = {}
+    graph = None
+    tokens = iter(args)
+    for arg in tokens:
+        action = flags.get(arg)
+        if action is None:
+            if graph is not None or (arg[:1] == "-" and arg != "-"):
+                return None
+            graph = arg
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and value != "-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        ns[action.dest] = value
+    if graph is None:
+        return None
+    for action in flags.values():
+        if action.dest not in ns:
+            if action.required:
+                return None
+            ns[action.dest] = action.default
+    return argparse.Namespace(graph=graph, handler=_COMMANDS[command][2], **ns)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        top, commands = _parsers()
+        top, commands, flags = _parsers()
         # the top-level parser would hand everything after a subcommand's
         # name to that subcommand's parser; calling it directly gives the
         # same namespace (without "command") and the same errors, at half
-        # the cost.  Anything else (help, --version, no or unknown command)
-        # goes to the top-level parser.
+        # the cost, and argv of the plain shape is cheaper still to read
+        # without it.  Anything else (help, --version, no or unknown
+        # command) goes to the top-level parser.
         own = commands.get(argv[0]) if argv else None
-        args = own.parse_args(argv[1:]) if own is not None else top.parse_args(argv)
+        if own is None:
+            args = top.parse_args(argv)
+        else:
+            args = _plain_args(argv[0], argv[1:], flags[argv[0]])
+            if args is None:
+                args = own.parse_args(argv[1:])
         # act's flags (only act has --module) are checked before the graph is read
         module = getattr(args, "module", None)
         if module == "chen" and not args.stream:

@@ -85,16 +85,18 @@ class SaturatedClosure:
         """Grow the set to the closure of itself and ``seed``; returns the
         vertices that joined."""
         g, closed, outside = self.graph, self.vertices, self._outside
+        succ, inc = g._succ, g._in
         added = []
-        todo = list(seed)
+        # the seed is checked once; the walk only reaches vertices of g
+        todo = [g.require_vertex(v) for v in seed]
         while todo:
             v = todo.pop()
             if v in closed:
                 continue
             closed.add(v)
             added.append(v)
-            todo.extend(g.successors(v))
-            for e in g.in_bundles(v):
+            todo.extend(succ[v])
+            for e in inc[v]:
                 u = e.src
                 if u in outside:
                     outside[u] -= 1

@@ -143,12 +143,14 @@ class Graph:
                 succ[v] = tuple(sorted({e.dst for e in bs}))
         for v, bs in inc.items():
             inc[v] = tuple(bs)
-        self.vertices = vs
-        self.edges = es
-        self._out = out
-        self._in = inc
-        self._by_id = by_id
-        self._succ = succ
+        # the first writes, so they skip the guard of __setattr__
+        setattr_ = object.__setattr__
+        setattr_(self, "vertices", vs)
+        setattr_(self, "edges", es)
+        setattr_(self, "_out", out)
+        setattr_(self, "_in", inc)
+        setattr_(self, "_by_id", by_id)
+        setattr_(self, "_succ", succ)
 
     def __setattr__(self, name, value):
         if hasattr(self, "_by_id") and name in self.__slots__ and hasattr(self, name):
@@ -653,6 +655,7 @@ def _tarjan(g: Graph) -> Condensation:
     its SCC is popped its index becomes ``done``, which is above every
     low-link, so an edge into a finished SCC lowers nothing.
     """
+    succ_of, out = g._succ, g._out
     done = len(g.vertices)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -663,7 +666,7 @@ def _tarjan(g: Graph) -> Condensation:
             continue
         index[root] = low[root] = len(index)
         # a frame: the vertex, its unread successors, its place on the stack
-        work = [(root, iter(g._succ[root]), len(stack))]
+        work = [(root, iter(succ_of[root]), len(stack))]
         stack.append(root)
         while work:
             v, succ, at = work[-1]
@@ -671,7 +674,7 @@ def _tarjan(g: Graph) -> Condensation:
                 i = index.get(w)
                 if i is None:
                     index[w] = low[w] = len(index)
-                    work.append((w, iter(g._succ[w]), len(stack)))
+                    work.append((w, iter(succ_of[w]), len(stack)))
                     stack.append(w)
                     break
                 if i < low[v]:
@@ -695,19 +698,19 @@ def _tarjan(g: Graph) -> Condensation:
     infinite: list[str | None] = [None] * n
     branching = [False] * n
     successors: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:  # in id order, so an SCC's first infinite bundle is its least
-        i, j = component[e.src], component[e.dst]
-        # two or more concrete edges leave e.src (an infinite bundle counts)
-        if e.mult != 1 or len(g._out[e.src]) > 1:
+    for eid, src, dst, mult in g.edges:  # in id order, so an SCC's first infinite bundle is its least
+        i, j = component[src], component[dst]
+        # two or more concrete edges leave src (an infinite bundle counts)
+        if mult != 1 or len(out[src]) > 1:
             branching[i] = True
         if i != j:
             successors[i].append(j)
-        elif e.mult is OMEGA:
+        elif mult is OMEGA:
             inner[i] = OMEGA
             if infinite[i] is None:
-                infinite[i] = e.id
+                infinite[i] = eid
         elif inner[i] is not OMEGA:
-            inner[i] += e.mult
+            inner[i] += mult
     return Condensation(
         component,
         members,

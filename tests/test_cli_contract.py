@@ -3,15 +3,18 @@ one process can serve many requests."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from leavitt import Edge, Graph, cli, graph_to_json
+from leavitt import Edge, Graph, cli, graph_from_json, graph_to_json
 from leavitt.cli import main
 from leavitt.errors import InputError
 from leavitt.fixtures import g_line, g_loop, g_loop_chain, g_rose2, g_toeplitz
@@ -115,18 +118,100 @@ _SUBCOMMAND_ARGV = [
 ]
 
 
+def _parse(parser, args):
+    """argparse's namespace for ``args`` as a dict without "command", or
+    how argparse refused them."""
+    try:
+        ns = vars(parser.parse_args(args))
+    except InputError as exc:
+        return f"InputError: {exc}"
+    except SystemExit as exc:
+        return f"SystemExit: {exc.code}"
+    ns.pop("command", None)
+    return ns
+
+
 @pytest.mark.parametrize("argv", _SUBCOMMAND_ARGV)
 def test_a_subcommand_parser_reads_argv_as_the_top_level_parser_does(argv):
-    def parse(parser, args):
-        try:
-            ns = vars(parser.parse_args(args))
-        except InputError as exc:
-            return f"InputError: {exc}"
-        ns.pop("command", None)
-        return ns
+    _, commands, flags = cli._parsers()
+    own = _parse(commands[argv[0]], argv[1:])
+    assert own == _parse(cli.build_parser(), argv)
+    # the direct reader reads what argparse reads, or leaves argv to argparse
+    plain = cli._plain_args(argv[0], argv[1:], flags[argv[0]])
+    assert plain is None or vars(plain) == own
 
-    _, commands = cli._parsers()
-    assert parse(commands[argv[0]], argv[1:]) == parse(cli.build_parser(), argv)
+
+# values for generated argv: ones the options take or refuse, "-", "--",
+# negative numbers and flags; GRAPH is the path of a Toeplitz graph file
+_TEXTS = ["GRAPH", "-", "", "x", "v1", "c", "c*.c - v1", "q", "7", "4", '{"kind":"periodic","period":["c"]}']
+_VALUES = _TEXTS + ["--", "-5", "-1", "--x", "0", "3", "1.5", "fp", "gk", "chen", "sv"]
+_FLAGS = sorted({f for table in cli._parsers()[2].values() for f in table} | {"-h", "--help", "--version"})
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand's name and argv: the plain shape with every required
+    flag, then up to three edits that insert a flag, an abbreviation,
+    "flag=value" or a value, or that drop or replace a token."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    args = []
+    for flag, action in cli._parsers()[2][command].items():
+        if action.required or draw(st.booleans()):
+            if action.choices is not None:
+                good = st.sampled_from(action.choices)
+            elif action.type is int:
+                good = st.sampled_from(["0", "3", "7"])
+            else:
+                good = st.sampled_from(_TEXTS)
+            args.append((flag, draw(good)))
+    args = [t for pair in draw(st.permutations(args)) for t in pair]
+    args.insert(2 * draw(st.integers(0, len(args) // 2)), draw(st.sampled_from(["GRAPH", "-"])))
+    flag, value = st.sampled_from(_FLAGS), st.sampled_from(_VALUES)
+    stray = st.one_of(
+        flag,
+        flag.map(lambda f: f[: max(3, len(f) - 2)]),
+        st.builds(lambda f, v: f"{f}={v}", flag, value),
+        value,
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(args)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        if edit == "insert":
+            args.insert(at, draw(stray))
+        elif at < len(args):
+            args[at : at + 1] = [] if edit == "drop" else [draw(stray)]
+    return command, args
+
+
+@pytest.fixture(scope="module")
+def toeplitz_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "toeplitz.json"
+    path.write_text(graph_to_json(g_toeplitz()), encoding="utf-8")
+    return str(path)
+
+
+@seed(17)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_argv())
+def test_generated_argv_is_read_as_argparse_reads_it_and_exits_0_2_or_3(toeplitz_file, command_args):
+    command, args = command_args
+    args = [toeplitz_file if a == "GRAPH" else a for a in args]
+    _, commands, flags = cli._parsers()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        own = _parse(commands[command], args)
+    plain = cli._plain_args(command, args, flags[command])
+    assert plain is None or vars(plain) == own
+    err = io.StringIO()
+    stdin = io.StringIO(graph_to_json(g_toeplitz()))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), mock.patch.object(sys, "stdin", stdin):
+        try:
+            code = main([command, *args])
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["exit"] == code
 
 
 def test_version_and_help_still_exit_through_argparse(capsys):
@@ -211,6 +296,41 @@ def test_a_graph_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "validate", "-")
     assert code == 2 and out is None
     assert err["exit"] == 2 and err["error"].startswith("cannot read stdin: 'utf-8' codec can't decode byte 0xff")
+
+
+def _text_mode_read_graph(path):
+    """A graph file read in text mode, as the CLI read it before it read bytes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    return graph_from_json(text)
+
+
+_TOEPLITZ_LINES = json.dumps(json.loads(graph_to_json(g_toeplitz())), indent=1)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _TOEPLITZ_LINES.replace("\n", "\r\n").encode(),
+        _TOEPLITZ_LINES.replace("\n", "\r").encode(),
+        b'{\r\n "vertices": ["a"],\r\n "edges": [,]\r\n}\r\n',
+        b'{"vertices": ["a\r\nb"], "edges": []}',
+        b'{"vertices": ["' + b"a" * 9000 + b'\xff"], "edges": []}',
+        b"\xef\xbb\xbf" + graph_to_json(g_toeplitz()).encode(),
+        graph_to_json(g_toeplitz()).encode("utf-16"),
+    ],
+    ids=["crlf", "cr", "crlf-syntax-error-line-3", "crlf-in-a-string", "non-utf8-past-8192", "bom", "utf-16"],
+)
+def test_a_graph_file_is_read_as_text_mode_reads_it(tmp_path, capsys, monkeypatch, data):
+    path = tmp_path / "g.json"
+    path.write_bytes(data)
+    argv = ["report", str(path)]
+    got = main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_read_graph", _text_mode_read_graph)
+    assert got == (main(argv), capsys.readouterr())
 
 
 def test_json_nested_too_deeply_exits_2(write_graph, tmp_path, capsys):

@@ -183,6 +183,17 @@ def test_edge_record_contract():
     assert e == ("e", "u", "w", 1)
 
 
+def test_a_built_graph_refuses_assignment():
+    edges = [Edge("c", "v1", "v1"), Edge("e", "v1", "v2")]
+    doc = {"vertices": ["v1", "v2"], "edges": [{"id": "c", "src": "v1", "dst": "v1"}, {"id": "e", "src": "v1", "dst": "v2"}]}
+    for g in (Graph(["v1", "v2"], edges), graph_from_obj(doc)):
+        for name in ("vertices", "edges", "_out"):
+            before = getattr(g, name)
+            with pytest.raises(AttributeError, match="Graph is immutable"):
+                setattr(g, name, ())
+            assert getattr(g, name) is before
+
+
 def test_graph_json_round_trip():
     for g in (g_loop(), g_toeplitz(), g_clock_omega(), g_loop_chain(3)):
         assert graph_from_json(graph_to_json(g)) == g
