@@ -69,10 +69,12 @@ def _read_graph(path: str) -> Graph:
         else:
             with open(path, "rb", buffering=0) as fh:
                 text = fh.read().decode("utf-8")
-            if "\r" in text:  # the newlines text mode reads as "\n"
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from None
+    # the newlines text mode reads as "\n"; stdin on POSIX translates none,
+    # so the same document gives the same error positions from either source
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return graph_from_json(text)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from math import prod
 from operator import attrgetter
@@ -420,15 +420,21 @@ class Cycle:
 
 def canonical_cycle(g: Graph, edges: Sequence[str]) -> Cycle:
     """Canonicalize a closed simple edge sequence into a :class:`Cycle`."""
-    p = make_path(g, list(edges))
+    p = make_path(g, edges)
     if path_range(g, p) != p.base:
         raise NotSupportedError("edge sequence is not closed")
-    srcs = [g.src_of(a) for a in edges]
+    srcs = [g.src_of(a) for a in p.edges]
     if len(set(srcs)) != len(srcs):
         raise NotSupportedError("closed path is not a simple cycle")
-    k = min(range(len(edges)), key=lambda i: edges[i])
-    rotated = tuple(edges[k:]) + tuple(edges[:k])
-    return Cycle(rotated)
+    return _rotated(p.edges)
+
+
+def _rotated(edges: Sequence[str]) -> Cycle:
+    """The cycle of the closed simple walk ``edges``, in canonical rotation
+    (smallest address first)."""
+    edges = tuple(edges)
+    k = edges.index(min(edges))
+    return Cycle(edges[k:] + edges[:k])
 
 
 def cycle_base(g: Graph, c: Cycle) -> str:
@@ -517,6 +523,11 @@ def tree(g: Graph, v: str) -> TreeView:
     return TreeView(v, verts, induced)
 
 
+# a field of Condensation that __post_init__ fills: not an argument, and not
+# part of equality or of the repr
+_derived = partial(field, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Condensation:
     """The strongly connected components (SCCs) of a graph, and every
@@ -530,10 +541,11 @@ class Condensation:
     bundle inside SCC ``i`` (None if there is none), and ``branching[i]``
     tells whether a vertex of SCC ``i`` emits two or more concrete edges.
 
-    The answers derived from these are cached properties, each computed at
-    most once per graph in O(V + E); those about cycles are read only after
-    :func:`_require_finitely_many_cycles` has passed.  A property that two
-    threads fill at once is computed twice, to equal values.
+    The answers derived from these are plain fields that take no part in
+    equality, filled in O(V + E) by one pass over the SCCs in reverse
+    topological order, so each SCC comes after every SCC it reaches.  Those
+    about cycles are read only after :func:`_require_finitely_many_cycles`
+    has passed.
     """
 
     component: Mapping[str, int]
@@ -543,97 +555,67 @@ class Condensation:
     infinite_bundle: tuple[str | None, ...]
     branching: tuple[bool, ...]
 
-    @cached_property
-    def cyclic(self) -> tuple[bool, ...]:
-        """Per SCC: whether it lies on a closed path."""
-        return tuple(k != 0 for k in self.inner_edges)
+    cyclic: tuple[bool, ...] = _derived()  # per SCC: it lies on a closed path
+    single_cycle: tuple[bool, ...] = _derived()  # per SCC: it is one simple cycle (one inner edge per vertex)
+    no_exit: tuple[bool, ...] = _derived()  # per SCC: it is a single cycle that no edge leaves
+    # per SCC: it reaches (or is) an SCC with that flag
+    reaches_cyclic: tuple[bool, ...] = _derived()
+    reaches_single_cycle: tuple[bool, ...] = _derived()
+    reaches_no_exit: tuple[bool, ...] = _derived()
+    # per SCC: the least id of an infinite bundle inside an SCC that it reaches (or is), or None
+    infinite_reached: tuple[str | None, ...] = _derived()
+    minimal: tuple[bool, ...] = _derived()  # per SCC: it is cyclic and reaches no other cyclic SCC
+    antisymmetric: bool = _derived()  # the cycle pre-order is antisymmetric: every cyclic SCC is a single cycle
+    # the number of cycles in a longest strictly descending chain: the longest
+    # path of the DAG, counting cyclic SCCs (None unless antisymmetric)
+    longest_chain: int | None = _derived()
+    # the vertices of the SCCs that reach no SCC on a closed path or with a vertex emitting two or more edges
+    line_points: frozenset[str] = _derived()
 
-    @cached_property
-    def single_cycle(self) -> tuple[bool, ...]:
-        """Per SCC: whether it is one simple cycle (one inner edge per vertex)."""
-        return tuple(k == len(vs) for k, vs in zip(self.inner_edges, self.members))
-
-    @cached_property
-    def no_exit(self) -> tuple[bool, ...]:
-        """Per SCC: whether it is a single cycle that no edge leaves."""
-        return tuple(c and not s for c, s in zip(self.single_cycle, self.successors))
-
-    def reaches(self, flags: Sequence[bool]) -> list[bool]:
-        """Per SCC: whether it reaches (or is) an SCC whose flag is set."""
-        out = list(flags)
-        succ = self.successors
-        for i in reversed(range(len(out))):
-            if not out[i]:
-                out[i] = any(out[j] for j in succ[i])
-        return out
-
-    @cached_property
-    def reaches_cyclic(self) -> list[bool]:
-        return self.reaches(self.cyclic)
-
-    @cached_property
-    def reaches_single_cycle(self) -> list[bool]:
-        return self.reaches(self.single_cycle)
-
-    @cached_property
-    def reaches_no_exit(self) -> list[bool]:
-        return self.reaches(self.no_exit)
-
-    @cached_property
-    def infinite_reached(self) -> list[str | None]:
-        """Per SCC: the least id of an infinite bundle inside an SCC that it
-        reaches (or is), or None."""
-        out = list(self.infinite_bundle)
-        succ = self.successors
-        for i in reversed(range(len(out))):
-            for j in succ[i]:
-                if out[j] is not None and (out[i] is None or out[j] < out[i]):
-                    out[i] = out[j]
-        return out
-
-    @cached_property
-    def reach(self) -> tuple[int, ...]:
-        """Per SCC: bit ``j`` is set when the SCC reaches SCC ``j`` (or is it)."""
-        succ = self.successors
-        reach = [0] * len(succ)
-        for i in reversed(range(len(succ))):
-            bits = 1 << i
-            for j in succ[i]:
-                bits |= reach[j]
-            reach[i] = bits
-        return tuple(reach)
-
-    @cached_property
-    def antisymmetric(self) -> bool:
-        """Whether the cycle pre-order is antisymmetric: every cyclic SCC is
-        a single cycle."""
-        return all(s for c, s in zip(self.cyclic, self.single_cycle) if c)
-
-    @cached_property
-    def longest_chain(self) -> int | None:
-        """The number of cycles in a longest strictly descending chain: the
-        longest path of the DAG, counting cyclic SCCs (None when the
-        pre-order is not antisymmetric)."""
-        if not self.antisymmetric:
-            return None
-        succ = self.successors
-        depth = [0] * len(succ)
-        for i in reversed(range(len(succ))):
-            depth[i] = self.cyclic[i] + max((depth[j] for j in succ[i]), default=0)
-        return max(depth, default=0)
-
-    @cached_property
-    def minimal(self) -> list[bool]:
-        """Per SCC: whether it is cyclic and reaches no other cyclic SCC."""
-        r = self.reaches_cyclic
-        return [c and not any(r[j] for j in s) for c, s in zip(self.cyclic, self.successors)]
-
-    @cached_property
-    def line_points(self) -> frozenset[str]:
-        """The vertices of the SCCs that reach no SCC on a closed path or
-        with a vertex emitting two or more edges."""
-        bad = self.reaches([c or b for c, b in zip(self.cyclic, self.branching)])
-        return frozenset(v for i, r in enumerate(bad) if not r for v in self.members[i])
+    def __post_init__(self):
+        members, inner, successors, branching = self.members, self.inner_edges, self.successors, self.branching
+        n = len(members)
+        cyclic, single, no_exit, minimal = [False] * n, [False] * n, [False] * n, [False] * n
+        r_cyclic, r_single, r_no_exit = [False] * n, [False] * n, [False] * n
+        infinite = list(self.infinite_bundle)
+        bad = [False] * n  # reaches (or is) an SCC that is cyclic or branching
+        depth = [0] * n  # the cyclic SCCs on a longest path from the SCC
+        antisymmetric = True
+        for i in reversed(range(n)):
+            k, succ = inner[i], successors[i]
+            cyclic[i] = c = k != 0
+            single[i] = s = k == len(members[i])
+            no_exit[i] = x = s and not succ
+            # what the successors reach: each is done, as it comes later
+            rc = rs = rx = rb = False
+            least, d = infinite[i], 0
+            for j in succ:
+                rc |= r_cyclic[j]
+                rs |= r_single[j]
+                rx |= r_no_exit[j]
+                rb |= bad[j]
+                if depth[j] > d:
+                    d = depth[j]
+                b = infinite[j]
+                if b is not None and (least is None or b < least):
+                    least = b
+            minimal[i] = c and not rc
+            r_cyclic[i], r_single[i], r_no_exit[i] = c or rc, s or rs, x or rx
+            bad[i] = c or branching[i] or rb
+            infinite[i] = least
+            depth[i] = c + d
+            if c and not s:
+                antisymmetric = False
+        setattr_ = partial(object.__setattr__, self)  # the class is frozen
+        for name, per_scc in (
+            ("cyclic", cyclic), ("single_cycle", single), ("no_exit", no_exit), ("minimal", minimal),
+            ("reaches_cyclic", r_cyclic), ("reaches_single_cycle", r_single), ("reaches_no_exit", r_no_exit),
+            ("infinite_reached", infinite),
+        ):
+            setattr_(name, tuple(per_scc))
+        setattr_("antisymmetric", antisymmetric)
+        setattr_("longest_chain", max(depth, default=0) if antisymmetric else None)
+        setattr_("line_points", frozenset(v for i, b in enumerate(bad) if not b for v in members[i]))
 
 
 def condensation(g: Graph) -> Condensation:
@@ -767,9 +749,7 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
         if len(found) + prod(sum(e.mult for e in step) for step in bundles) > max_cycles:
             raise ResourceCapError(f"more than {max_cycles} simple cycles")
         choices = [sorted(a for e in step for a in _addresses(e)) for step in bundles]
-        for combo in product(*choices):
-            k = combo.index(min(combo))  # canonical rotation: smallest address first
-            found.append(Cycle(combo[k:] + combo[:k]))
+        found.extend(map(_rotated, product(*choices)))
 
     # depth-first from each root through higher-ordered vertices of its own
     # SCC only (a cycle through root never leaves it), so each vertex

@@ -9,12 +9,14 @@ hereditary saturated sets with a layer descriptor per step.
 Every answer is read off the strongly connected components (SCCs) of the
 graph, in time linear in the size of the graph: the
 :class:`~leavitt.graph.Condensation` that :func:`~leavitt.graph.condensation`
-keeps with each graph caches the per-SCC facts, so asking many questions
-about one graph costs one analysis.  Two cycles reach each other exactly
-when they lie in the same SCC, so the pre-order is antisymmetric exactly
-when every SCC on a closed path is a single simple cycle, that is, has as
-many inner edges as vertices.  Only :func:`cycle_poset` lists cycles, and
-only it is capped.
+keeps with each graph holds the per-SCC facts, derived in one pass when it
+is built, so asking many questions about one graph costs one analysis.  Two
+cycles reach each other exactly when they lie in the same SCC, so the
+pre-order is antisymmetric exactly when every SCC on a closed path is a
+single simple cycle, that is, has as many inner edges as vertices.  Only
+:func:`cycle_poset` lists cycles, and only it is capped; it builds the
+reachability bitsets of the pre-order itself, as they take O(S²) bits for S
+SCCs where the condensation holds O(V + E) facts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .graph import (
     _address,
     _require_finitely_many_cycles,
     _require_graph,
-    canonical_cycle,
+    _rotated,
     condensation,
     cycle_base,
     cycle_vertices,
@@ -93,6 +95,13 @@ def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
     cycles = tuple(enumerate_cycles(g, max_cycles))
     scc = condensation(g)
     at = tuple(scc.component[cycle_base(g, c)] for c in cycles)
+    # bit j of reach[i]: SCC i reaches SCC j (or is it)
+    reach = [0] * len(scc.successors)
+    for i in reversed(range(len(reach))):
+        bits = 1 << i
+        for j in scc.successors[i]:
+            bits |= reach[j]
+        reach[i] = bits
     return CyclePoset(
         cycles,
         scc.antisymmetric,
@@ -100,7 +109,7 @@ def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
         tuple(c for c, i in zip(cycles, at) if scc.minimal[i]),
         tuple(c for c, i in zip(cycles, at) if scc.no_exit[i]),
         at,
-        scc.reach,
+        tuple(reach),
     )
 
 
@@ -438,7 +447,7 @@ def _scc_cycle(g: Graph, scc: Condensation, i: int) -> Cycle:
         edges.append(e.id)
         v = e.dst
         if v == start:
-            return canonical_cycle(g, edges)
+            return _rotated(edges)
 
 
 def _witness(g: Graph, scc: Condensation) -> list[list[str]]:
@@ -480,7 +489,7 @@ def _closed_by_return(g: Graph, scc: Condensation, u: str, address: str, w: str,
         e = via[x]
         back.append(_address(e, 0))
         x = e.src
-    return canonical_cycle(g, [address] + back[::-1])
+    return _rotated([address] + back[::-1])
 
 
 def _entry_paths(g: Graph, scc: Condensation, base: str, removed: AbstractSet[str]) -> Union[int, object]:

@@ -7,8 +7,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -331,6 +334,27 @@ def test_a_graph_file_is_read_as_text_mode_reads_it(tmp_path, capsys, monkeypatc
     got = main(argv), capsys.readouterr()
     monkeypatch.setattr(cli, "_read_graph", _text_mode_read_graph)
     assert got == (main(argv), capsys.readouterr())
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_graph_on_stdin_reads_as_the_same_file(tmp_path, newline):
+    # the bytes reach the real stdin of a new process: a TextIOWrapper with
+    # the default newline would translate them itself and hide a difference
+    data = '{\n "vertices": ["a"],\n "edges": [,]\n}\n'.replace("\n", newline).encode()
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "leavitt.cli", "validate", arg],
+            input=stdin, env=env, capture_output=True, timeout=60,
+        )
+        for arg, stdin in ((str(path), b""), ("-", data))
+    ]
+    assert [(r.returncode, r.stdout) for r in runs] == [(2, b"")] * 2
+    assert runs[0].stderr == runs[1].stderr
+    assert json.loads(runs[0].stderr)["error"].endswith("line 3 column 12 (char 33)")
 
 
 def test_json_nested_too_deeply_exits_2(write_graph, tmp_path, capsys):

@@ -19,11 +19,14 @@ from leavitt import (
     LeavittError,
     NotSupportedError,
     OMEGA,
+    Path,
     PrimeField,
     ResourceCapError,
     SchemaError,
     UnknownEdgeError,
+    UnknownVertexError,
     bifurcation_data,
+    canonical_cycle,
     chen_basis_element,
     corner_report,
     cycle_poset,
@@ -33,6 +36,7 @@ from leavitt import (
     enumerate_basis,
     enumerate_cycles,
     enumerate_hs_sets,
+    generated_stream,
     graph_from_json,
     growth_profile,
     hedgehog,
@@ -44,9 +48,11 @@ from leavitt import (
     periodic_stream,
     quotient,
     saturated_closure,
+    stream_from_obj,
     subalgebra_graph,
 )
-from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, g_toeplitz, random_graph
+from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, g_loop_chain, g_rose2, g_toeplitz, random_graph
+from leavitt.graph import bundle_addresses, is_regular
 
 
 def test_parallel_loops_behave_like_a_rose():
@@ -88,6 +94,7 @@ def test_make_path_validation():
         make_path(g, [], base=None)
     with pytest.raises(NotSupportedError):
         make_path(g, ["e1"], base="v2")
+    assert make_path(g, [], base="v2") == Path("v2", ())
 
 
 def test_laurent_cardinality_omega_bundle_into_base():
@@ -249,6 +256,9 @@ def test_a_path_is_not_read_from_the_letters_of_a_string():
     ):
         with pytest.raises(SchemaError, match="not the string 'ce'"):
             call()
+    with pytest.raises(SchemaError, match="not the string 'c'"):
+        canonical_cycle(g, "c")
+    assert canonical_cycle(g, iter(["c"])) == canonical_cycle(g, ["c"])
     assert make_path(g, ("c", "e")) == make_path(g, ["c", "e"])
     assert ctx.path_element(iter(["c", "e"])) == ctx.edge("c") * ctx.edge("e")
     assert subalgebra_graph(g, iter(["c", "e"])) == subalgebra_graph(g, ["e", "c", "e"])
@@ -273,6 +283,133 @@ def test_a_path_is_not_read_from_the_letters_of_a_string():
     with pytest.raises(SchemaError, match="not the string 'abc'"):
         Graph("abc", [])
     assert Graph(iter(["c", "a", "b"]), []).vertices == ("a", "b", "c")
+
+
+def _emitter_on_a_loop() -> Graph:
+    """A loop c at u, and an infinite bundle b from u to w."""
+    return Graph(["u", "w"], [Edge("c", "u", "u"), Edge("b", "u", "w", OMEGA)])
+
+
+# the checks of outside input that no other test reaches: each call, on a
+# graph built afresh, with the error it raises and its message
+_VALIDATION_ERRORS = {
+    "PrimeField.coerce(None)": (
+        g_toeplitz, lambda g: PrimeField(7).coerce(None), NotSupportedError, "cannot coerce None into GF(7)"
+    ),
+    "PrimeField.invert(7)": (g_toeplitz, lambda g: PrimeField(7).invert(7), ZeroDivisionError, "inverse of zero"),
+    "special edge at a sink": (
+        g_toeplitz,
+        lambda g: AlgebraContext(g, special_edges={"v2": "e"}),
+        NotSupportedError,
+        "'v2' is not a regular vertex",
+    ),
+    "special edge leaving another vertex": (
+        lambda: g_line(3),
+        lambda g: AlgebraContext(g, special_edges={"v1": "e2"}),
+        NotSupportedError,
+        "'e2' does not leave 'v1'",
+    ),
+    "monomial without a common range": (
+        g_toeplitz,
+        lambda g: AlgebraContext(g).monomial(make_path(g, ["e"]), make_path(g, ["c"])),
+        NotSupportedError,
+        "p and q must have a common range",
+    ),
+    "concrete_out of an infinite emitter": (
+        g_clock_omega, lambda g: g.concrete_out("u"), NotSupportedError, "vertex 'u' emits infinitely many edges"
+    ),
+    "bundle_addresses of an infinite bundle": (
+        g_clock_omega, lambda g: bundle_addresses(g, "b"), NotSupportedError, "bundle 'b' has infinitely many edges"
+    ),
+    "make_path of a number": (
+        g_toeplitz, lambda g: make_path(g, 5), SchemaError, "a path is a list of edge addresses, not 5"
+    ),
+    "canonical_cycle of an open path": (
+        g_toeplitz, lambda g: canonical_cycle(g, ["e"]), NotSupportedError, "edge sequence is not closed"
+    ),
+    "canonical_cycle of two loops": (
+        g_rose2, lambda g: canonical_cycle(g, ["g", "h"]), NotSupportedError, "closed path is not a simple cycle"
+    ),
+    "is_regular of an unknown vertex": (
+        g_toeplitz, lambda g: is_regular(g, "zz"), UnknownVertexError, "unknown vertex 'zz'"
+    ),
+    "periodic_stream of an open period": (
+        g_toeplitz, lambda g: periodic_stream(g, ["e"]), NotSupportedError, "period must be a closed path"
+    ),
+    "periodic_stream with a prefix off the period": (
+        g_toeplitz,
+        lambda g: periodic_stream(g, ["c"], ["e"]),
+        NotSupportedError,
+        "prefix must end at the source of the period",
+    ),
+    "generated_stream of one cycle twice": (
+        g_rose2,
+        lambda g: generated_stream(g, canonical_cycle(g, ["g"]), canonical_cycle(g, ["g"])),
+        NotSupportedError,
+        "the two cycles must be distinct",
+    ),
+    "generated_stream of disjoint cycles": (
+        lambda: g_loop_chain(2),
+        lambda g: generated_stream(g, canonical_cycle(g, ["c1"]), canonical_cycle(g, ["c2"])),
+        NotSupportedError,
+        "the two cycles share no vertex",
+    ),
+    "generated_stream at a vertex off the cycles": (
+        g_rose2,
+        lambda g: generated_stream(g, canonical_cycle(g, ["g"]), canonical_cycle(g, ["h"]), base="zz"),
+        NotSupportedError,
+        "'zz' is not a common vertex of the two cycles",
+    ),
+    "chen_basis_element at a negative tail index": (
+        g_toeplitz,
+        lambda g: chen_basis_element(g, periodic_stream(g, ["c"]), None, -1),
+        NotSupportedError,
+        "tail index must be >= 0",
+    ),
+    "chen_basis_element with a prefix off the tail": (
+        g_toeplitz,
+        lambda g: chen_basis_element(g, periodic_stream(g, ["c"]), make_path(g, ["e"])),
+        NotSupportedError,
+        "prefix does not chain onto the stream tail",
+    ),
+    "bifurcation_data to depth 0": (
+        g_toeplitz,
+        lambda g: bifurcation_data(AlgebraContext(g), periodic_stream(g, ["c"]), 0),
+        NotSupportedError,
+        "depth must be >= 1",
+    ),
+    "bifurcation_data through an infinite emitter": (
+        _emitter_on_a_loop,
+        lambda g: bifurcation_data(AlgebraContext(g), periodic_stream(g, ["c"]), 2),
+        ResourceCapError,
+        "vertex 'u' emits infinitely many edges; generator list is infinite",
+    ),
+    "stream_from_obj of a number": (
+        g_toeplitz,
+        lambda g: stream_from_obj(g, 5),
+        NotSupportedError,
+        'stream descriptor must be an object with a "kind"',
+    ),
+    "quotient by a set that is not saturated": (
+        lambda: g_line(3), lambda g: quotient(g, ["v3"]), NotSupportedError, "vertex set is not saturated"
+    ),
+    "hedgehog of a set that is not hereditary": (
+        lambda: g_line(3), lambda g: hedgehog(g, ["v2"]), NotSupportedError, "vertex set is not hereditary"
+    ),
+    "hedgehog with a vertex that does not break": (
+        lambda: g_line(3),
+        lambda g: hedgehog(g, ["v3"], ["v1"]),
+        NotSupportedError,
+        "s must be a subset of the breaking vertices of h",
+    ),
+}
+
+
+@pytest.mark.parametrize("graph, call, error, message", _VALIDATION_ERRORS.values(), ids=list(_VALIDATION_ERRORS))
+def test_validation_errors_keep_their_types_and_messages(graph, call, error, message):
+    with pytest.raises(error) as info:
+        call(graph())
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_integer_bounds_keep_their_messages():
