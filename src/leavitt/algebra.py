@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -74,7 +75,7 @@ class Rationals:
 
     def invert(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of zero")
+            raise NotSupportedError("inverse of zero")
         return 1 / a
 
     def integral(self, values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -86,15 +87,22 @@ class Rationals:
     def reduce(self, acc: dict, d: int) -> tuple[dict, int]:
         """The canonical form of the values n / d for n in ``acc``: zeros
         dropped, and the numerators and ``d`` divided by their gcd, so that
-        ``d`` is the lcm of the reduced denominators (1 for no values)."""
-        flat = {k: n for k, n in acc.items() if n}
-        if d == 1 or not flat:
-            return flat, 1
-        g = math.gcd(d, *flat.values())
+        ``d`` is the lcm of the reduced denominators (1 for no values).
+
+        ``acc`` is the caller's fresh map and may be returned as it is: a
+        new map is built only to drop a zero or to divide by a common
+        factor, so a map already in canonical form costs one scan of its
+        values and no hashing of its keys.
+        """
+        if 0 in acc.values():
+            acc = {k: n for k, n in acc.items() if n}
+        if d == 1 or not acc:
+            return acc, 1
+        g = math.gcd(d, *acc.values())
         if g > 1:
-            flat = {k: n // g for k, n in flat.items()}
+            acc = {k: n // g for k, n in acc.items()}
             d //= g
-        return flat, d
+        return acc, d
 
     def from_integral(self, n: int, d: int) -> Fraction:
         return Fraction(n, d)
@@ -200,7 +208,7 @@ class PrimeField:
 
     def invert(self, a):
         if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
+            raise NotSupportedError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
     def integral(self, values: Iterable[int]) -> tuple[list[int], int]:
@@ -622,21 +630,26 @@ class AlgebraElement:
         }
 
     def to_obj(self) -> list[dict]:
+        """The terms as JSON objects ``{"p", "q", "coeff"}`` (and ``"v"``
+        for a vertex term) in the order of :meth:`Monomial.sort_key`.
+
+        Each distinct numerator is formatted once, however many terms share
+        it, and the term objects are built in one comprehension; the few
+        vertex terms, which sort together, get their ``"v"`` afterwards.
+        """
         fmt = self.ctx.field.format_integral
         d = self._den
         # the order of Monomial.sort_key: degree, p.edges, p.base, q.edges,
         # q.base; the keys are distinct, so the numerators are never compared
         rows = sorted([(len(pe) - len(qe), pe, pb, qe, qb, n) for (pb, pe, qb, qe), n in self._flat.items()])
-        coeffs: dict[int, str] = {}
-        out = []
-        for _, pe, pb, qe, qb, n in rows:
-            c = coeffs.get(n)
-            if c is None:
-                c = coeffs[n] = fmt(n, d)
-            item = {"p": list(pe), "q": list(qe), "coeff": c}
-            if not pe and not qe:
-                item["v"] = pb
-            out.append(item)
+        coeffs = {n: fmt(n, d) for n in set(self._flat.values())}
+        out = [{"p": list(pe), "q": list(qe), "coeff": coeffs[n]} for _, pe, _, qe, _, n in rows]
+        # a vertex term is a row (0, (), v, (), v, n): they come first among
+        # the terms of degree 0
+        i = bisect_left(rows, (0, ()))
+        while i < len(rows) and not rows[i][0] and not rows[i][1]:
+            out[i]["v"] = rows[i][2]
+            i += 1
         return out
 
 

@@ -354,7 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         if module == "sv" and not args.vertex:
             raise InputError("the sv module needs --vertex")
         obj = args.handler(_read_graph(args.graph), args)
-        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+        # every handler returns a fresh tree, which has no cycle, so the
+        # encoder's circular check (an id() kept per container) is skipped
+        sys.stdout.write(json.dumps(obj, sort_keys=True, check_circular=False) + "\n")
         return 0
     except ResourceCapError as exc:
         return _fail(exc, 3)

@@ -305,9 +305,13 @@ def _address(e: Edge, k: int) -> str:
 
 
 def _addresses(e: Edge) -> list[str]:
-    if e.mult is OMEGA:
-        raise NotSupportedError(f"bundle {e.id!r} has infinitely many edges")
-    return [_address(e, k) for k in range(e.mult)]
+    """The concrete addresses of the finite bundle ``e``, in index order."""
+    eid, mult = e.id, e.mult
+    if mult is OMEGA:
+        raise NotSupportedError(f"bundle {eid!r} has infinitely many edges")
+    if mult == 1:
+        return [eid]
+    return [f"{eid}[{k}]" for k in range(mult)]
 
 
 def bundle_addresses(g: Graph, edge_id: str, limit: int | None = None) -> list[str]:
@@ -866,7 +870,8 @@ def graph_from_obj(obj) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_obj(g), sort_keys=True)
+    # a fresh tree from graph_to_obj has no cycle to look for
+    return json.dumps(graph_to_obj(g), sort_keys=True, check_circular=False)
 
 
 def graph_from_json(text: str) -> Graph:

@@ -6,13 +6,14 @@ import json
 
 import pytest
 
-from leavitt import OMEGA, Edge, Graph, graph_from_obj, graph_to_json, graph_to_obj
-from leavitt.cli import main
+from leavitt import OMEGA, Edge, Graph, graph_from_json, graph_from_obj, graph_to_json, graph_to_obj, saturated_closure
+from leavitt.cli import _COMMANDS, _parsers, main
 from leavitt.fixtures import (
     g_clock_omega,
     g_line,
     g_loop,
     g_loop_chain_with_sink,
+    g_mixed,
     g_rose2,
     g_toeplitz,
 )
@@ -193,3 +194,81 @@ def test_stdin_input(write_graph, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(graph_to_json(g_loop())))
     code, out, _ = run_cli(capsys, "validate", "-")
     assert code == 0 and out["ok"] is True
+
+
+def _wide() -> Graph:
+    """A bundle b of 8192 edges from u to w: b[0].b[0]* has 8192 terms."""
+    return Graph(["u", "w"], [Edge("b", "u", "w", 8192)])
+
+
+_BYTE_GRAPHS = {
+    "toeplitz": g_toeplitz,
+    "loop": g_loop,
+    "rose2": g_rose2,
+    "clock_omega": g_clock_omega,
+    "loop_chain_with_sink": lambda: g_loop_chain_with_sink(2),
+    "line": lambda: g_line(4),
+    "mixed": g_mixed,
+    "wide": _wide,
+}
+
+# act needs an infinite path (chen) or an infinite emitter (sv)
+_ACT_OPTIONS = {
+    "toeplitz": ["--module", "chen", "--stream", '{"kind":"periodic","prefix":["c"],"period":["c"]}',
+                 "--expr", "c.c* - 1/2 c + c*"],
+    "loop": ["--module", "chen", "--stream", '{"kind":"periodic","prefix":[],"period":["c"]}',
+             "--expr", "3 c* - c.c"],
+    "clock_omega": ["--module", "sv", "--vertex", "u", "--expr", "b[0].b[0]* + 2/3 u"],
+}
+
+
+def _byte_cases(name: str, g: Graph) -> list[tuple[str, list[str]]]:
+    """(subcommand, options) pairs that exercise every subcommand on ``g``."""
+    v, last = g.vertices[0], g.vertices[-1]
+    e = g.edges[0]
+    a = e.id if e.mult == 1 else f"{e.id}[0]"
+    h = " ".join(sorted(saturated_closure(g, [last]).vertices))
+    cases = [(command, []) for command in ("validate", "report", "fp", "gk", "socle", "hs-sets")]
+    cases += [
+        ("closure", ["--seed", v]),
+        ("quotient", ["--h", h]),
+        ("hedgehog", ["--h", h, "--depth", "3"]),
+        ("ef", ["--edges", a]),
+        ("corner", ["--vertex", v]),
+        ("filtration", ["--kind", "fp"]),
+        ("filtration", ["--kind", "gk"]),
+        ("growth", ["--n", "6"]),
+        ("act", _ACT_OPTIONS.get(name, ["--module", "sv", "--vertex", v, "--expr", v])),
+    ]
+    cases += [("eval", ["--expr", f"{a}.{a}* - 1/3 {v} + 2 {a}", "--field", f]) for f in ("q", "7")]
+    return cases
+
+
+def test_cli_output_is_the_default_encoding_of_the_handler_object(tmp_path, capsys):
+    """The CLI and ``graph_to_json`` encode without the circular-reference
+    check; their bytes are those of the default ``json.dumps`` of the
+    object the handler (or ``graph_to_obj``) returns."""
+    _, commands, _ = _parsers()
+    answered = set()
+    for name, make in _BYTE_GRAPHS.items():
+        g = make()
+        text = graph_to_json(g)
+        assert text == json.dumps(graph_to_obj(g), sort_keys=True)
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        cases = _byte_cases(name, g)
+        assert {command for command, _ in cases} == set(_COMMANDS)
+        for command, options in cases:
+            argv = [command, str(path), *options]
+            code = main(argv)
+            out = capsys.readouterr().out
+            if code != 0:
+                assert code in (2, 3) and out == ""
+                continue
+            args = commands[command].parse_args(argv[1:])
+            obj = args.handler(graph_from_json(path.read_bytes()), args)
+            assert out == json.dumps(obj, sort_keys=True) + "\n", (name, argv)
+            answered.add((name, command))
+    assert {command for _, command in answered} == set(_COMMANDS)
+    assert len(answered) >= 110
+    assert ("wide", "eval") in answered

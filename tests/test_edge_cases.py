@@ -296,7 +296,8 @@ _VALIDATION_ERRORS = {
     "PrimeField.coerce(None)": (
         g_toeplitz, lambda g: PrimeField(7).coerce(None), NotSupportedError, "cannot coerce None into GF(7)"
     ),
-    "PrimeField.invert(7)": (g_toeplitz, lambda g: PrimeField(7).invert(7), ZeroDivisionError, "inverse of zero"),
+    "PrimeField.invert(7)": (g_toeplitz, lambda g: PrimeField(7).invert(7), NotSupportedError, "inverse of zero"),
+    "Rationals.invert(0)": (g_toeplitz, lambda g: RATIONALS.invert(0), NotSupportedError, "inverse of zero"),
     "special edge at a sink": (
         g_toeplitz,
         lambda g: AlgebraContext(g, special_edges={"v2": "e"}),

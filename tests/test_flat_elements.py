@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
 import leavitt
 from leavitt import OMEGA, AlgebraContext, Edge, Graph, Monomial, Path, PrimeField, RATIONALS
+from leavitt.algebra import Rationals, _from_terms
 from leavitt.errors import ContextMismatchError
 from leavitt.expressions import parse_expression
 from leavitt.graph import bundle_addresses, is_regular, path_range
@@ -91,6 +93,26 @@ class AlgebraElement:
 
 
 # --- end of the verbatim copy -----------------------------------------------
+
+
+# --- verbatim copy of the old Rationals.reduce, which rebuilt every map ------
+
+
+def _comprehension_reduce(self, acc: dict, d: int) -> tuple[dict, int]:
+    """The canonical form of the values n / d for n in ``acc``: zeros
+    dropped, and the numerators and ``d`` divided by their gcd, so that
+    ``d`` is the lcm of the reduced denominators (1 for no values)."""
+    flat = {k: n for k, n in acc.items() if n}
+    if d == 1 or not flat:
+        return flat, 1
+    g = math.gcd(d, *flat.values())
+    if g > 1:
+        flat = {k: n // g for k, n in flat.items()}
+        d //= g
+    return flat, d
+
+
+# --- end of the verbatim copy of reduce -------------------------------------
 
 FIELDS = (RATIONALS, PrimeField(7), PrimeField(101))
 
@@ -251,3 +273,67 @@ def test_a_wide_element_round_trips_in_linear_time():
     start = time.perf_counter()
     assert leavitt.element_from_obj(ctx, obj) == x
     assert time.perf_counter() - start < 2.0
+
+
+def _q_element(rng: random.Random, ctx: AlgebraContext) -> leavitt.AlgebraElement:
+    """A sum of normalized monomials with coefficients over 1, 2, 3, 4, 6 and 9,
+    so that sums and products often share a factor with the denominator."""
+    terms = [ctx.monomial(*_pair(rng, ctx.graph), _coeff(rng, ctx)) for _ in range(rng.randint(1, 5))]
+    return leavitt.AlgebraElement.sum(terms)
+
+
+def _cancelling(rng: random.Random, x: leavitt.AlgebraElement) -> leavitt.AlgebraElement:
+    """Minus a nonempty part of ``x``'s terms."""
+    terms = list(x.terms.items())
+    return leavitt.AlgebraElement(x.ctx, {m: -c for m, c in rng.sample(terms, rng.randint(1, len(terms)))})
+
+
+def test_reduce_builds_the_canonical_form_of_the_comprehensions(monkeypatch):
+    """Over Q, ``reduce`` may return the caller's map as it is; sums,
+    scaling, products and ``_from_terms`` that cancel terms to zero or
+    leave a factor common to the numerators and the denominator give the
+    state the old reduce gives, and leave their operands unchanged."""
+    rng = random.Random(1919)
+    events: Counter = Counter()
+    op = None
+
+    def watched(self, acc, d):
+        if 0 in acc.values():
+            events[op, "zero"] += 1
+        flat, den = _comprehension_reduce(self, acc, d)
+        if flat and den < d:
+            events[op, "factor"] += 1
+        return flat, den
+
+    checked = 0
+    while checked < 2000:
+        g = _graph(rng)
+        ctx = AlgebraContext(g, RATIONALS, special_edges=_context(rng, g).special)
+        x, y = _q_element(rng, ctx), _q_element(rng, ctx)
+        keys = [k for z in (x, y) for k in z._flat] + [
+            (p.base, p.edges, q.base, q.edges) for p, q in (_pair(rng, g) for _ in range(3))
+        ]
+        scalars = [_coeff(rng, ctx) for _ in keys]
+        repeat = rng.sample(range(len(keys)), rng.randint(1, len(keys)))
+        keys += [keys[i] for i in repeat]
+        scalars += [-scalars[i] for i in repeat]
+        operations = {
+            "sum": lambda: leavitt.AlgebraElement.sum([x, _cancelling(rng, x), y]),
+            "scale": lambda: x.scale(rng.choice((0, 2, 3, 6, 9, Fraction(2, 3), Fraction(-9, 2)))),
+            "product": lambda: (x + y) * (_cancelling(rng, y) + x),
+            "_from_terms": lambda: _from_terms(ctx, keys, scalars),
+        }
+        before = [dict(z._flat) for z in (x, y)]
+        for op, make in operations.items():
+            state = rng.getstate()
+            lib = make()
+            rng.setstate(state)
+            with monkeypatch.context() as m:
+                m.setattr(Rationals, "reduce", watched)
+                want = make()
+            _assert_canonical(lib)
+            assert lib._den == want._den and lib._flat == want._flat, op
+            assert [dict(z._flat) for z in (x, y)] == before
+            checked += 1
+    for op in ("sum", "scale", "product", "_from_terms"):
+        assert events[op, "zero"] >= 50 and events[op, "factor"] >= 50, (op, events)
