@@ -17,7 +17,6 @@ from .algebra import (
     PrimeField,
     RATIONALS,
     Rationals,
-    add,
     degree_components,
     element_from_obj,
     enumerate_basis,
@@ -63,7 +62,6 @@ from .graph import (
     VertexClass,
     canonical_cycle,
     classify_vertex,
-    concat,
     condensation,
     condition_K,
     condition_L,
@@ -78,7 +76,6 @@ from .graph import (
     line_points,
     make_path,
     path_range,
-    path_vertices,
     tree,
     vertices_on_closed_paths,
 )

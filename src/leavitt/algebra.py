@@ -76,7 +76,7 @@ class Rationals:
     def invert(self, a):
         if a == 0:
             raise NotSupportedError("inverse of zero")
-        return 1 / a
+        return self.one / a
 
     def integral(self, values: Iterable[Fraction]) -> tuple[list[int], int]:
         """Integers n_i and one denominator d (the lcm) with value_i = n_i / d."""
@@ -693,10 +693,6 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b
-
-
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a + b
 
 
 def degree_components(a: AlgebraElement) -> dict[int, AlgebraElement]:

@@ -333,20 +333,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        top, commands, flags = _parsers()
-        # the top-level parser would hand everything after a subcommand's
-        # name to that subcommand's parser; calling it directly gives the
-        # same namespace (without "command") and the same errors, at half
-        # the cost, and argv of the plain shape is cheaper still to read
-        # without it.  Anything else (help, --version, no or unknown
-        # command) goes to the top-level parser.
-        own = commands.get(argv[0]) if argv else None
-        if own is None:
+        top, _, flags = _parsers()
+        # argv of the plain shape after a subcommand's name is read without
+        # argparse; anything else goes to the top-level parser
+        args = _plain_args(argv[0], argv[1:], flags[argv[0]]) if argv and argv[0] in flags else None
+        if args is None:
             args = top.parse_args(argv)
-        else:
-            args = _plain_args(argv[0], argv[1:], flags[argv[0]])
-            if args is None:
-                args = own.parse_args(argv[1:])
         # act's flags (only act has --module) are checked before the graph is read
         module = getattr(args, "module", None)
         if module == "chen" and not args.stream:

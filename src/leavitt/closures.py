@@ -36,15 +36,6 @@ class HSSet:
     vertices: frozenset[str]
     generated_from: frozenset[str]
 
-    def __contains__(self, v: str) -> bool:
-        return v in self.vertices
-
-    def __iter__(self):
-        return iter(sorted(self.vertices))
-
-    def __len__(self):
-        return len(self.vertices)
-
     def sort_key(self):
         return (len(self.vertices), tuple(sorted(self.vertices)))
 

@@ -143,7 +143,7 @@ class Graph:
                 succ[v] = tuple(sorted({e.dst for e in bs}))
         for v, bs in inc.items():
             inc[v] = tuple(bs)
-        # the first writes, so they skip the guard of __setattr__
+        # __setattr__ refuses every write, so the slots are written past it
         setattr_ = object.__setattr__
         setattr_(self, "vertices", vs)
         setattr_(self, "edges", es)
@@ -153,9 +153,15 @@ class Graph:
         setattr_(self, "_succ", succ)
 
     def __setattr__(self, name, value):
-        if hasattr(self, "_by_id") and name in self.__slots__ and hasattr(self, name):
-            raise AttributeError("Graph is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a graph from its vertices and bundles, as
+        # they could not write its slots; the condensation is found again
+        return (Graph, (self.vertices, self.edges))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.vertices == other.vertices and self.edges == other.edges
@@ -354,10 +360,6 @@ class Path:
     def __len__(self):
         return len(self.edges)
 
-    @property
-    def is_vertex(self) -> bool:
-        return not self.edges
-
     def sort_key(self):
         return (len(self.edges), self.edges, self.base)
 
@@ -393,20 +395,6 @@ def _as_addresses(x, what: str) -> tuple:
 
 def path_range(g: Graph, p: Path) -> str:
     return g.dst_of(p.edges[-1]) if p.edges else p.base
-
-
-def path_vertices(g: Graph, p: Path) -> list[str]:
-    """The vertex itinerary of ``p`` (length + 1 entries)."""
-    out = [p.base]
-    for a in p.edges:
-        out.append(g.dst_of(a))
-    return out
-
-
-def concat(g: Graph, p: Path, q: Path) -> Path:
-    if path_range(g, p) != q.base:
-        raise NotSupportedError("paths do not compose")
-    return Path(p.base, p.edges + q.edges)
 
 
 @dataclass(frozen=True)

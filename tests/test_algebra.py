@@ -13,7 +13,10 @@ from leavitt import (
     Monomial,
     Path,
     PrimeField,
+    RATIONALS,
+    Rationals,
     ResourceCapError,
+    degree_components,
     element_from_obj,
     enumerate_basis,
     growth_profile,
@@ -244,6 +247,37 @@ def test_prime_field_arithmetic():
         PrimeField(6)
 
 
+def test_a_rational_inverse_is_exact():
+    for a in (2, -5, Fraction(2, 3)):
+        inv = RATIONALS.invert(a)
+        assert type(inv) is Fraction and inv * a == 1
+    assert RATIONALS.invert(2) == Fraction(1, 2)
+
+
+def test_equal_fields_and_contexts_hash_equal():
+    assert Rationals() == RATIONALS and hash(Rationals()) == hash(RATIONALS)
+    assert PrimeField(7) == PrimeField(7) and hash(PrimeField(7)) == hash(PrimeField(7))
+    a, b = AlgebraContext(g_toeplitz()), AlgebraContext(g_toeplitz())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, AlgebraContext(g_toeplitz(), PrimeField(7))}) == 2
+
+
+def test_an_element_with_a_non_element():
+    ctx = AlgebraContext(g_loop())
+    x = ctx.edge("c") + ctx.vertex("v")
+    assert x.__eq__("c + v") is NotImplemented and x != "c + v"
+    assert x * 2 == 2 * x == x.scale(2)
+    assert repr(x * 2) == "<2 v + 2 c>"
+
+
+def test_the_module_level_forms_of_product_and_grading():
+    ctx = AlgebraContext(g_toeplitz())
+    a, b = ctx.edge("c") + ctx.vertex("v1"), ctx.edge("c") + ctx.ghost("c")
+    assert multiply(a, b) == a * b
+    assert degree_components(a * b) == (a * b).degree_components()
+    assert set(degree_components(a * b)) == {-1, 0, 1, 2}
+
+
 def test_serialization_round_trip():
     ctx = AlgebraContext(g_toeplitz())
     el = ctx.vertex("v2").scale(Fraction(2, 3)) + ctx.edge("e") * ctx.ghost("e") - ctx.edge("c")
@@ -252,6 +286,14 @@ def test_serialization_round_trip():
     assert all(set(item) <= {"p", "q", "coeff", "v"} for item in obj)
     vertex_terms = [item for item in obj if not item["p"] and not item["q"]]
     assert all("v" in item for item in vertex_terms)
+
+
+def test_a_ghost_term_round_trips():
+    ctx = AlgebraContext(g_toeplitz())
+    x = ctx.ghost("c")
+    obj = x.to_obj()
+    assert obj == [{"p": [], "q": ["c"], "coeff": "1"}]
+    assert element_from_obj(ctx, obj) == x
 
 
 def test_monomial_printing_reparses():

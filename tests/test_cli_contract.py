@@ -199,9 +199,11 @@ def toeplitz_file(tmp_path_factory):
 def test_generated_argv_is_read_as_argparse_reads_it_and_exits_0_2_or_3(toeplitz_file, command_args):
     command, args = command_args
     args = [toeplitz_file if a == "GRAPH" else a for a in args]
-    _, commands, flags = cli._parsers()
+    top, commands, flags = cli._parsers()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         own = _parse(commands[command], args)
+        # main leaves every argv that is not of the plain shape to the top-level parser
+        assert _parse(top, [command, *args]) == own
     plain = cli._plain_args(command, args, flags[command])
     assert plain is None or vars(plain) == own
     err = io.StringIO()

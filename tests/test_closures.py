@@ -149,6 +149,21 @@ def test_quotient_primed_edges_point_at_the_primed_copy():
     assert pairs == [("d", "z", "u"), ("d'", "z", "u'"), ("z0", "u", "z")]
 
 
+def test_a_primed_sink_takes_a_name_no_vertex_has():
+    g = Graph(["u", "w", "x", "u'"], [Edge("b", "u", "w", OMEGA), Edge("a", "u", "x")])
+    q = quotient(g, ["w"])
+    assert q.vertices == ("u", "u'", "u''", "x")
+    assert [(e.id, e.src, e.dst) for e in q.edges] == [("a", "u", "x")]
+
+
+def test_a_closure_result_is_accepted_as_a_vertex_set():
+    g = add_edges(g_clock_omega(), Edge("z0", "u", "z"))
+    h = saturated_closure(g, ["w"])
+    assert h.vertices == {"w"}
+    assert quotient(g, h) == quotient(g, ["w"])
+    assert breaking_vertices(g, h) == {"u"}
+
+
 def test_hedgehog_with_breaking_vertices():
     g = add_edges(g_clock_omega(), Edge("z0", "u", "z"), Edge("d", "z", "u"))
     res = hedgehog(g, ["w"], ["u"], depth_bound=2)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from leavitt import (
     UnknownVertexError,
     canonical_cycle,
     classify_vertex,
+    condensation,
     condition_K,
     condition_L,
     cycle_vertices,
@@ -187,11 +190,30 @@ def test_a_built_graph_refuses_assignment():
     edges = [Edge("c", "v1", "v1"), Edge("e", "v1", "v2")]
     doc = {"vertices": ["v1", "v2"], "edges": [{"id": "c", "src": "v1", "dst": "v1"}, {"id": "e", "src": "v1", "dst": "v2"}]}
     for g in (Graph(["v1", "v2"], edges), graph_from_obj(doc)):
-        for name in ("vertices", "edges", "_out"):
+        condensation(g)
+        for name in ("vertices", "edges", "_out", "_scc"):
             before = getattr(g, name)
             with pytest.raises(AttributeError, match="Graph is immutable"):
                 setattr(g, name, ())
+            with pytest.raises(AttributeError, match="Graph is immutable"):
+                delattr(g, name)
             assert getattr(g, name) is before
+        assert repr(g) == "Graph(2 vertices, 2 edge bundles)"
+
+
+def test_equal_graphs_hash_equal():
+    g, h = g_toeplitz(), graph_from_json(graph_to_json(g_toeplitz()))
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert len({g, h, g_loop()}) == 2
+
+
+def test_a_graph_survives_pickle_and_copy():
+    g = g_clock_omega()
+    scc = condensation(g)
+    pickled = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for h in [*pickled, copy.copy(g), copy.deepcopy(g)]:
+        assert h == g and h.edges[0].mult is OMEGA
+        assert condensation(h) == scc
 
 
 def test_graph_json_round_trip():
