@@ -57,56 +57,33 @@ def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
     return g.reachable(_as_vertex_set(seed))
 
 
-class SaturatedClosure:
-    """A hereditary saturated vertex set that grows in place.
-
-    ``add`` is a worklist: every vertex that joins the set lowers, for each
-    regular vertex with an edge into it, the count of that vertex's edge
-    bundles still ending outside the set, and a regular vertex joins when
-    its count reaches 0.  Growing the set from empty to everything costs
-    O(V + E) in all.
-    """
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.vertices: set[str] = set()
-        self._outside = {v: len(bs) for v, bs in g._out.items() if _regular_out(bs)}
-
-    def add(self, seed: Iterable[str]) -> list[str]:
-        """Grow the set to the closure of itself and ``seed``; returns the
-        vertices that joined."""
-        g, closed, outside = self.graph, self.vertices, self._outside
-        succ, inc = g._succ, g._in
-        added = []
-        # the seed is checked once; the walk only reaches vertices of g
-        todo = [g.require_vertex(v) for v in seed]
-        while todo:
-            v = todo.pop()
-            if v in closed:
-                continue
-            closed.add(v)
-            added.append(v)
-            todo.extend(succ[v])
-            for e in inc[v]:
-                u = e.src
-                if u in outside:
-                    outside[u] -= 1
-                    if outside[u] == 0:
-                        todo.append(u)
-        return added
-
-
 def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:
     """Smallest hereditary saturated superset of ``seed``.
 
     Saturation repeatedly adds any regular vertex all of whose edge ranges
     already lie in the set; it preserves hereditariness, so the closure is
-    the least set closed under both rules.
+    the least set closed under both rules.  One worklist finds it in
+    O(V + E): every vertex that joins lowers, for each regular vertex with
+    an edge into it, the count of that vertex's edge bundles still ending
+    outside the set, and a regular vertex joins when its count reaches 0.
     """
     seed_set = frozenset(g.require_vertex(v) for v in _as_vertex_set(seed))
-    closure = SaturatedClosure(g)
-    closure.add(seed_set)
-    return HSSet(frozenset(closure.vertices), seed_set)
+    outside = {v: len(bs) for v, bs in g._out.items() if _regular_out(bs)}
+    closed: set[str] = set()
+    todo = list(seed_set)
+    while todo:
+        v = todo.pop()
+        if v in closed:
+            continue
+        closed.add(v)
+        todo.extend(g._succ[v])
+        for e in g._in[v]:
+            u = e.src
+            if u in outside:
+                outside[u] -= 1
+                if outside[u] == 0:
+                    todo.append(u)
+    return HSSet(frozenset(closed), seed_set)
 
 
 def is_hereditary(g: Graph, vs: Iterable[str]) -> bool:

@@ -430,6 +430,8 @@ def _rotated(edges: Sequence[str]) -> Cycle:
 
 
 def cycle_base(g: Graph, c: Cycle) -> str:
+    if not c.edges:
+        raise NotSupportedError("a cycle has at least one edge")
     return g.src_of(c.edges[0])
 
 

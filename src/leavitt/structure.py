@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Union
 
-from .closures import HSSet, SaturatedClosure, saturated_closure
+from .closures import HSSet, saturated_closure
 from .errors import InfinitelyManyCyclesError, NotSupportedError
 from .graph import (
     MAX_CYCLES_DEFAULT,
@@ -38,6 +38,7 @@ from .graph import (
     _require_finitely_many_cycles,
     _require_graph,
     _rotated,
+    canonical_cycle,
     condensation,
     cycle_base,
     cycle_vertices,
@@ -281,9 +282,11 @@ def laurent_index_cardinality(g: Graph, c: Cycle) -> Union[int, object]:
 
     Counts the paths ending at the cycle's canonical base that touch the base
     only at their end (the length-0 path included); the count is OMEGA as
-    soon as a cycle other than ``c`` reaches the base.
+    soon as a cycle other than ``c`` reaches the base.  ``c`` is checked
+    to be a closed simple edge sequence of ``g`` first.
     """
-    return _entry_paths(g, condensation(g), cycle_base(g, c), frozenset())
+    base = cycle_base(g, canonical_cycle(g, c.edges))
+    return _entry_paths(g, condensation(g), base, frozenset())
 
 
 def fp_filtration(g: Graph) -> Filtration:
@@ -297,14 +300,14 @@ def fp_filtration(g: Graph) -> Filtration:
     scc = condensation(g)
     q = _Quotient(g, scc)
     q.grow(scc.line_points)
-    chain = [HSSet(frozenset(q.closure.vertices), scc.line_points)]
+    chain = [HSSet(frozenset(q.vertices), scc.line_points)]
     layers: list[Layer] = [SocleLayer(chain[0].vertices)]
-    while len(q.closure.vertices) < len(g.vertices):
+    while len(q.vertices) < len(g.vertices):
         c = next(q.no_exit_cycles())
-        card = _entry_paths(g, scc, cycle_base(g, c), q.closure.vertices)
+        card = _entry_paths(g, scc, cycle_base(g, c), q.vertices)
         cycle = cycle_vertices(g, c)
         q.grow(cycle)
-        chain.append(HSSet(frozenset(q.closure.vertices), chain[-1].vertices | cycle))
+        chain.append(HSSet(frozenset(q.vertices), chain[-1].vertices | cycle))
         layers.append(LaurentMatrixLayer(c, card))
     return Filtration(tuple(chain), tuple(layers))
 
@@ -333,17 +336,17 @@ def gk_filtration(g: Graph) -> Filtration:
     q.grow(exit_targets)
     chain: list[HSSet] = []
     layers: list[Layer] = []
-    if q.closure.vertices:
-        chain.append(HSSet(frozenset(q.closure.vertices), exit_targets))
+    if q.vertices:
+        chain.append(HSSet(frozenset(q.vertices), exit_targets))
         layers.append(VnrLayer(chain[0].vertices))
-    while len(q.closure.vertices) < len(g.vertices):
+    while len(q.vertices) < len(g.vertices):
         acyclic = q.take_acyclic()
         no_exit = list(q.no_exit_cycles())
         added = set(acyclic)
         for c in no_exit:
             added |= cycle_vertices(g, c)
         laurent = tuple(
-            LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c), q.closure.vertices))
+            LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c), q.vertices))
             for c in no_exit
         )
         if acyclic and laurent:
@@ -354,9 +357,9 @@ def gk_filtration(g: Graph) -> Filtration:
             layer = MixedLayer(frozenset(), laurent)
         else:
             layer = VnrLayer(acyclic)
-        seed = frozenset(q.closure.vertices) | added
+        seed = frozenset(q.vertices) | added
         q.grow(added)
-        chain.append(HSSet(frozenset(q.closure.vertices), seed))
+        chain.append(HSSet(frozenset(q.vertices), seed))
         layers.append(layer)
     if not chain:
         # graph with no vertices at all
@@ -544,34 +547,32 @@ class _Quotient:
     that grows step by step.
 
     On a row-finite graph the quotient by H is the subgraph induced on
-    V \\ H, and H is a union of whole SCCs, so the SCCs of the quotient are
-    those of the graph outside H.  Per SCC this keeps the edge bundles that
-    still leave it outside H (a single cycle without any is a no-exit cycle
-    of the quotient) and the successor SCCs still outside H that reach a
-    cycle outside H (an SCC off cycles without any holds acyclic vertices
-    of the quotient).  A no-exit cycle is built once, when its SCC loses its
-    last exit, and waits in a heap by ``Cycle.sort_key``.  The filtrations
-    grow H only by vertices that reach no cycle outside H and by cycles
-    taken from the heap, and saturation cannot add a vertex whose cycle
-    successor lies outside H, so no cycle joins H while it waits.  Growing
-    H from empty to everything costs O(V + E) plus O(C log C) for the C
-    no-exit cycles.
+    V \\ H, and H is a union of whole SCCs, so H grows one SCC at a time and
+    the SCCs of the quotient are those of the graph outside H.  Per SCC this
+    keeps one count of the successor SCCs still outside H: when it reaches
+    0, an SCC with no inner edge (one regular vertex) joins H by saturation,
+    and a single cycle has become a no-exit cycle of the quotient.  A vertex
+    of a cyclic SCC keeps an edge inside its SCC, so saturation never adds
+    one.  Per SCC this also keeps the successor SCCs still outside H that
+    reach a cycle outside H (an SCC off cycles without any holds acyclic
+    vertices of the quotient).  A no-exit cycle is built once, when its SCC
+    loses its last exit, and waits in a heap by ``Cycle.sort_key``.  The
+    filtrations grow H only by vertices that reach no cycle outside H and
+    by cycles taken from the heap, so no cycle joins H while it waits.
+    Growing H from empty to everything costs O(V + E) plus O(C log C) for
+    the C no-exit cycles.
     """
 
     def __init__(self, g: Graph, scc: Condensation):
         self.graph = g
         self.scc = scc
         n = len(scc.members)
-        self.closure = SaturatedClosure(g)
+        self.vertices: set[str] = set()  # H
         self.in_h = [False] * n
-        self.exits = [0] * n
-        for e in g.edges:
-            i = scc.component[e.src]
-            if i != scc.component[e.dst]:
-                self.exits[i] += 1
+        self.outside = [len(s) for s in scc.successors]
         self.no_exit: list[tuple] = []  # heap of (sort key, cycle)
         for i in range(n):
-            if scc.single_cycle[i] and not self.exits[i]:
+            if scc.no_exit[i]:
                 self._push(i)
         self.preds: list[list[int]] = [[] for _ in range(n)]
         for i, succ in enumerate(scc.successors):
@@ -603,17 +604,23 @@ class _Quotient:
 
     def grow(self, seed) -> None:
         """Close H over ``seed``."""
-        g, comp = self.graph, self.scc.component
-        added = self.closure.add(seed)
-        for x in added:
-            for e in g.in_bundles(x):
-                i = comp[e.src]
-                if i != comp[x]:
-                    self.exits[i] -= 1
-                    if not self.exits[i] and self.scc.single_cycle[i]:
-                        self._push(i)
-        for i in {comp[x] for x in added}:
-            self.in_h[i] = True
+        scc, in_h, outside = self.scc, self.in_h, self.outside
+        comp = scc.component
+        todo = [comp[v] for v in seed]
+        while todo:
+            i = todo.pop()
+            if in_h[i]:
+                continue
+            in_h[i] = True
+            self.vertices.update(scc.members[i])
+            todo.extend(scc.successors[i])
+            for p in self.preds[i]:
+                outside[p] -= 1
+                if not outside[p] and not in_h[p]:
+                    if not scc.inner_edges[p]:
+                        todo.append(p)
+                    elif scc.single_cycle[p]:
+                        self._push(p)
             self._finish(i)
 
     def take_acyclic(self) -> frozenset[str]:

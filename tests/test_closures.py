@@ -24,7 +24,7 @@ from leavitt import (
     tree,
     vertices_on_closed_paths,
 )
-from leavitt.closures import SaturatedClosure, _entering_paths_finite, _enumerate_entering_paths, _fresh, _relevant_vertices
+from leavitt.closures import _entering_paths_finite, _enumerate_entering_paths, _fresh, _relevant_vertices
 from leavitt.errors import UnknownVertexError
 from leavitt.fixtures import (
     add_edges,
@@ -52,12 +52,9 @@ def test_saturated_closure_examples():
     assert saturated_closure(g_clock(3), ["w1", "w2", "w3"]).vertices == {"u", "w1", "w2", "w3"}
 
 
-def test_a_growing_closure_checks_its_seed_before_it_grows():
-    closure = SaturatedClosure(g_line(3))
+def test_a_closure_checks_every_seed_vertex():
     with pytest.raises(UnknownVertexError):
-        closure.add(["v3", "nope"])
-    assert closure.vertices == set()
-    assert sorted(closure.add(["v3"])) == ["v1", "v2", "v3"]
+        saturated_closure(g_line(3), ["v3", "nope"])
 
 
 def test_saturated_closure_is_closure_operator():

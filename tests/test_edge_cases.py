@@ -13,6 +13,7 @@ import pytest
 from leavitt import (
     RATIONALS,
     AlgebraContext,
+    Cycle,
     Edge,
     ExpressionError,
     Graph,
@@ -29,6 +30,7 @@ from leavitt import (
     canonical_cycle,
     chen_basis_element,
     corner_report,
+    cycle_base,
     cycle_poset,
     decide_fp,
     decide_gk,
@@ -113,6 +115,14 @@ def test_laurent_cardinality_parallel_entries_count_multiplicities():
     )
     (cycle,) = enumerate_cycles(g)
     assert laurent_index_cardinality(g, cycle) == 4  # v itself plus b[0..2]
+
+
+def test_laurent_cardinality_refuses_a_cycle_that_is_not_closed():
+    # e runs from v1 to v2, so the edge sequence (e,) is an open path
+    g = g_toeplitz()
+    with pytest.raises(NotSupportedError, match="edge sequence is not closed"):
+        laurent_index_cardinality(g, Cycle(("e",)))
+    assert laurent_index_cardinality(g, Cycle(("c",))) == 1
 
 
 def test_gf2_relations_still_vanish():
@@ -235,6 +245,9 @@ _WRONG_TYPES = {
     "enumerate_basis(5, 3)": lambda g, ctx: enumerate_basis(5, 3),
     "decide_gk(5)": lambda g, ctx: decide_gk(5),
     "decide_fp(5)": lambda g, ctx: decide_fp(5),
+    "laurent_index_cardinality(g, Cycle(('e',)))": lambda g, ctx: laurent_index_cardinality(g, Cycle(("e",))),
+    "laurent_index_cardinality(g, Cycle(()))": lambda g, ctx: laurent_index_cardinality(g, Cycle(())),
+    "cycle_base(g, Cycle(()))": lambda g, ctx: cycle_base(g, Cycle(())),
 }
 
 

@@ -16,6 +16,7 @@ from leavitt import (
     Edge,
     Graph,
     InfinitelyManyCyclesError,
+    LeavittError,
     canonical_cycle,
     corner_report,
     cycle_poset,
@@ -27,11 +28,23 @@ from leavitt import (
     graph_to_json,
     laurent_index_cardinality,
     line_points,
+    saturated_closure,
 )
 from leavitt import graph as graph_mod
 from leavitt import structure as structure_mod
 from leavitt.cli import main
-from leavitt.fixtures import g_line, g_loop_chain_with_sink
+from leavitt.fixtures import (
+    g_clock,
+    g_clock_omega,
+    g_line,
+    g_loop,
+    g_loop_chain,
+    g_loop_chain_with_sink,
+    g_mixed,
+    g_rose2,
+    g_toeplitz,
+)
+from test_scc_oracles import _graphs
 
 
 def ring(n: int) -> Graph:
@@ -214,6 +227,27 @@ def test_fp_filtration_builds_each_no_exit_cycle_once(monkeypatch):
 def test_gk_filtration_of_the_empty_graph():
     filt = gk_filtration(Graph([], []))
     assert filt.to_obj() == {"chain": [[]], "layers": [{"kind": "vnr", "vertices": []}]}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "fixtures"])
+def test_each_filtration_set_is_the_closure_of_its_seed(seed):
+    """Every chain entry of both filtrations, grown SCC by SCC, equals the
+    vertex-level saturated closure of the seed it records."""
+    graphs = _graphs(seed, 500) if seed != "fixtures" else [
+        g_loop(), g_line(3), g_rose2(), g_toeplitz(), g_clock(3), g_clock_omega(),
+        g_loop_chain(4), g_loop_chain_with_sink(4), g_mixed(), Graph([], []),
+    ]
+    checked = 0
+    for g in graphs:
+        for build in (fp_filtration, gk_filtration):
+            try:
+                chain = build(g).chain
+            except LeavittError:
+                continue
+            for h in chain:
+                assert h == saturated_closure(g, h.generated_from)
+            checked += 1
+    assert checked > 0
 
 
 def test_no_function_in_the_package_imports():
