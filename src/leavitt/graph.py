@@ -342,6 +342,13 @@ def _require_graph(x) -> Graph:
     return x
 
 
+def _require_cycle(x) -> Cycle:
+    """``x``, which must be a :class:`Cycle`."""
+    if not isinstance(x, Cycle):
+        raise NotSupportedError(f"expected a Cycle, not {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Paths and cycles
 # ---------------------------------------------------------------------------
@@ -430,13 +437,13 @@ def _rotated(edges: Sequence[str]) -> Cycle:
 
 
 def cycle_base(g: Graph, c: Cycle) -> str:
-    if not c.edges:
+    if not _require_cycle(c).edges:
         raise NotSupportedError("a cycle has at least one edge")
     return g.src_of(c.edges[0])
 
 
 def cycle_vertices(g: Graph, c: Cycle) -> frozenset[str]:
-    return frozenset(g.src_of(a) for a in c.edges)
+    return frozenset(g.src_of(a) for a in _require_cycle(c).edges)
 
 
 def cycle_has_exit(g: Graph, c: Cycle) -> bool:

@@ -19,6 +19,7 @@ from .graph import (
     Cycle,
     Graph,
     Path,
+    _require_cycle,
     _require_int,
     canonical_cycle,
     cycle_base,
@@ -116,7 +117,7 @@ def periodic_stream(g: Graph, period_edges, prefix_edges=()) -> PeriodicPath:
 
 def generated_stream(g: Graph, first: Cycle, second: Cycle, base: str | None = None) -> GeneratedStream:
     """Interleaved stream of two distinct cycles through a shared base vertex."""
-    if first == second:
+    if _require_cycle(first) == _require_cycle(second):
         raise NotSupportedError("the two cycles must be distinct")
     verts1 = {g.src_of(a): i for i, a in enumerate(first.edges)}
     verts2 = {g.src_of(a): i for i, a in enumerate(second.edges)}

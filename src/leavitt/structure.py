@@ -24,9 +24,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Union
+from typing import Iterator, Union
 
-from .closures import HSSet, saturated_closure
+from .closures import HSSet
 from .errors import InfinitelyManyCyclesError, NotSupportedError
 from .graph import (
     MAX_CYCLES_DEFAULT,
@@ -35,6 +35,7 @@ from .graph import (
     Cycle,
     Graph,
     _address,
+    _require_cycle,
     _require_finitely_many_cycles,
     _require_graph,
     _rotated,
@@ -285,8 +286,8 @@ def laurent_index_cardinality(g: Graph, c: Cycle) -> Union[int, object]:
     soon as a cycle other than ``c`` reaches the base.  ``c`` is checked
     to be a closed simple edge sequence of ``g`` first.
     """
-    base = cycle_base(g, canonical_cycle(g, c.edges))
-    return _entry_paths(g, condensation(g), base, frozenset())
+    base = cycle_base(g, canonical_cycle(g, _require_cycle(c).edges))
+    return _entry_paths(g, condensation(g), base)
 
 
 def fp_filtration(g: Graph) -> Filtration:
@@ -304,7 +305,7 @@ def fp_filtration(g: Graph) -> Filtration:
     layers: list[Layer] = [SocleLayer(chain[0].vertices)]
     while len(q.vertices) < len(g.vertices):
         c = next(q.no_exit_cycles())
-        card = _entry_paths(g, scc, cycle_base(g, c), q.vertices)
+        card = _entry_paths(g, scc, cycle_base(g, c))
         cycle = cycle_vertices(g, c)
         q.grow(cycle)
         chain.append(HSSet(frozenset(q.vertices), chain[-1].vertices | cycle))
@@ -339,16 +340,19 @@ def gk_filtration(g: Graph) -> Filtration:
     if q.vertices:
         chain.append(HSSet(frozenset(q.vertices), exit_targets))
         layers.append(VnrLayer(chain[0].vertices))
+    # H holds no cycle yet, so the first quotient's acyclic vertices are those
+    # that reach no cycle; once they (and so every sink) are in H, saturation
+    # has taken in each vertex reaching no cycle outside H, and later steps
+    # add only no-exit cycles
+    acyclic = frozenset(
+        v for i, vs in enumerate(scc.members) if not q.in_h[i] and not scc.reaches_cyclic[i] for v in vs
+    )
     while len(q.vertices) < len(g.vertices):
-        acyclic = q.take_acyclic()
         no_exit = list(q.no_exit_cycles())
         added = set(acyclic)
         for c in no_exit:
             added |= cycle_vertices(g, c)
-        laurent = tuple(
-            LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c), q.vertices))
-            for c in no_exit
-        )
+        laurent = tuple(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))) for c in no_exit)
         if acyclic and laurent:
             layer: Layer = MixedLayer(acyclic, laurent)
         elif laurent and len(laurent) == 1:
@@ -361,9 +365,10 @@ def gk_filtration(g: Graph) -> Filtration:
         q.grow(added)
         chain.append(HSSet(frozenset(q.vertices), seed))
         layers.append(layer)
+        acyclic = frozenset()
     if not chain:
         # graph with no vertices at all
-        chain = [saturated_closure(g, ())]
+        chain = [HSSet(frozenset(), frozenset())]
         layers = [VnrLayer(frozenset())]
     return Filtration(tuple(chain), tuple(layers))
 
@@ -495,9 +500,9 @@ def _closed_by_return(g: Graph, scc: Condensation, u: str, address: str, w: str,
     return _rotated([address] + back[::-1])
 
 
-def _entry_paths(g: Graph, scc: Condensation, base: str, removed: AbstractSet[str]) -> Union[int, object]:
-    """The paths of the graph minus ``removed`` that end at ``base`` and
-    touch it only there, counted (OMEGA when there are infinitely many).
+def _entry_paths(g: Graph, scc: Condensation, base: str) -> Union[int, object]:
+    """The paths that end at ``base`` and touch it only there, counted
+    (OMEGA when there are infinitely many).
 
     One reverse search collects the vertices that reach the base, then the
     paths are counted in topological order; a closed path among those
@@ -510,7 +515,7 @@ def _entry_paths(g: Graph, scc: Condensation, base: str, removed: AbstractSet[st
     while todo:
         for e in g.in_bundles(todo.pop()):
             s = e.src
-            if s in reach or s in removed:
+            if s in reach:
                 continue
             if comp[s] != home and scc.cyclic[comp[s]]:
                 return OMEGA  # another cycle feeds the base
@@ -553,12 +558,10 @@ class _Quotient:
     0, an SCC with no inner edge (one regular vertex) joins H by saturation,
     and a single cycle has become a no-exit cycle of the quotient.  A vertex
     of a cyclic SCC keeps an edge inside its SCC, so saturation never adds
-    one.  Per SCC this also keeps the successor SCCs still outside H that
-    reach a cycle outside H (an SCC off cycles without any holds acyclic
-    vertices of the quotient).  A no-exit cycle is built once, when its SCC
-    loses its last exit, and waits in a heap by ``Cycle.sort_key``.  The
-    filtrations grow H only by vertices that reach no cycle outside H and
-    by cycles taken from the heap, so no cycle joins H while it waits.
+    one.  A no-exit cycle is built once, when its SCC loses its last exit,
+    and waits in a heap by ``Cycle.sort_key``.  The filtrations grow H only
+    by vertices that reach no cycle outside H and by cycles taken from the
+    heap, so no cycle joins H while it waits.
     Growing H from empty to everything costs O(V + E) plus O(C log C) for
     the C no-exit cycles.
     """
@@ -578,25 +581,6 @@ class _Quotient:
         for i, succ in enumerate(scc.successors):
             for j in succ:
                 self.preds[j].append(i)
-        self.live = [len(s) for s in scc.successors]
-        self.done = [False] * n  # in H, or outside H and reaching no cycle outside H
-        self.acyclic: list[int] = []  # SCCs done since the last take_acyclic
-        for i in range(n):
-            if not self.live[i] and not scc.cyclic[i]:
-                self._finish(i)
-
-    def _finish(self, i: int) -> None:
-        todo = [i]
-        while todo:
-            k = todo.pop()
-            if self.done[k]:
-                continue
-            self.done[k] = True
-            self.acyclic.append(k)
-            for p in self.preds[k]:
-                self.live[p] -= 1
-                if not self.live[p] and not self.scc.cyclic[p]:
-                    todo.append(p)
 
     def _push(self, i: int) -> None:
         c = _scc_cycle(self.graph, self.scc, i)
@@ -621,14 +605,6 @@ class _Quotient:
                         todo.append(p)
                     elif scc.single_cycle[p]:
                         self._push(p)
-            self._finish(i)
-
-    def take_acyclic(self) -> frozenset[str]:
-        """The acyclic vertices of the quotient (those reaching no cycle)."""
-        members = self.scc.members
-        found = frozenset(v for i in self.acyclic if not self.in_h[i] for v in members[i])
-        self.acyclic = []
-        return found
 
     def no_exit_cycles(self) -> Iterator[Cycle]:
         """The no-exit cycles of the quotient, least first; each one yielded

@@ -81,7 +81,11 @@ def test_incomplete_ghstream_exits_2(write_graph, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["growth", "GRAPH", "--n", "3", "--max-basis", "5"], ["gk"], ["growth", "GRAPH", "--n", "x"], []],
+    [
+        ["growth", "GRAPH", "--n", "3", "--max-basis", "5"], ["gk"], ["growth", "GRAPH", "--n", "x"], [],
+        # a token starting "--=" goes to the top-level parser, which reports it ambiguous
+        ["report", "GRAPH", "--=x"], ["eval", "GRAPH", "--expr", "--=v"],
+    ],
 )
 def test_usage_errors_are_json(write_graph, capsys, argv):
     path = write_graph(g_loop())

@@ -31,7 +31,9 @@ from leavitt import (
     chen_basis_element,
     corner_report,
     cycle_base,
+    cycle_has_exit,
     cycle_poset,
+    cycle_vertices,
     decide_fp,
     decide_gk,
     element_from_obj,
@@ -248,6 +250,11 @@ _WRONG_TYPES = {
     "laurent_index_cardinality(g, Cycle(('e',)))": lambda g, ctx: laurent_index_cardinality(g, Cycle(("e",))),
     "laurent_index_cardinality(g, Cycle(()))": lambda g, ctx: laurent_index_cardinality(g, Cycle(())),
     "cycle_base(g, Cycle(()))": lambda g, ctx: cycle_base(g, Cycle(())),
+    "cycle_base(g, ['c'])": lambda g, ctx: cycle_base(g, ["c"]),
+    "cycle_vertices(g, ['c'])": lambda g, ctx: cycle_vertices(g, ["c"]),
+    "cycle_has_exit(g, ['c'])": lambda g, ctx: cycle_has_exit(g, ["c"]),
+    "laurent_index_cardinality(g, ['c'])": lambda g, ctx: laurent_index_cardinality(g, ["c"]),
+    "generated_stream(g, ['c'], ['e'])": lambda g, ctx: generated_stream(g, ["c"], ["e"]),
 }
 
 

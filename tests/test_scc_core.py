@@ -16,6 +16,7 @@ from leavitt import (
     Edge,
     Graph,
     InfinitelyManyCyclesError,
+    LaurentMatrixLayer,
     LeavittError,
     canonical_cycle,
     corner_report,
@@ -232,7 +233,9 @@ def test_gk_filtration_of_the_empty_graph():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, "fixtures"])
 def test_each_filtration_set_is_the_closure_of_its_seed(seed):
     """Every chain entry of both filtrations, grown SCC by SCC, equals the
-    vertex-level saturated closure of the seed it records."""
+    vertex-level saturated closure of the seed it records.  A Laurent layer's
+    index depends on its cycle alone, not on the step, and in the gk
+    filtration the layers after the first one with a cycle add cycles only."""
     graphs = _graphs(seed, 500) if seed != "fixtures" else [
         g_loop(), g_line(3), g_rose2(), g_toeplitz(), g_clock(3), g_clock_omega(),
         g_loop_chain(4), g_loop_chain_with_sink(4), g_mixed(), Graph([], []),
@@ -241,11 +244,19 @@ def test_each_filtration_set_is_the_closure_of_its_seed(seed):
     for g in graphs:
         for build in (fp_filtration, gk_filtration):
             try:
-                chain = build(g).chain
+                filt = build(g)
             except LeavittError:
                 continue
-            for h in chain:
+            for h in filt.chain:
                 assert h == saturated_closure(g, h.generated_from)
+            after_a_cycle = False
+            for layer in filt.layers:
+                laurent = [layer] if isinstance(layer, LaurentMatrixLayer) else getattr(layer, "laurent", ())
+                for part in laurent:
+                    assert part.index_cardinality == laurent_index_cardinality(g, part.cycle)
+                if build is gk_filtration and after_a_cycle:
+                    assert laurent and not getattr(layer, "vnr_vertices", None)
+                after_a_cycle = after_a_cycle or bool(laurent)
             checked += 1
     assert checked > 0
 
