@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatchError, NotSupportedError, ResourceCapError, SchemaError
 from .graph import (
-    OMEGA,
     Graph,
     Path,
     _address,
@@ -303,6 +302,8 @@ class AlgebraContext:
         special_edges: Mapping[str, str] | None = None,
     ):
         self.graph = _require_graph(graph)
+        if not isinstance(field, (Rationals, PrimeField)):
+            raise NotSupportedError(f"the field must be RATIONALS or a PrimeField, not {field!r}")
         self.field = field
         # id[0] is the least address of its bundle
         special = {
@@ -364,7 +365,6 @@ class AlgebraContext:
 
     def monomial(self, p: Path, q: Path, coeff=1) -> "AlgebraElement":
         """The element p q* (normalized); p and q must share their range."""
-        self._require_common_range(p, q)
         return normalize_monomial(self, p, q, coeff)
 
     def path_element(self, edges: Iterable[str], base: str | None = None) -> "AlgebraElement":
@@ -375,6 +375,8 @@ class AlgebraContext:
         return self.field.coerce(value)
 
     def _require_common_range(self, p: Path, q: Path) -> None:
+        if not (isinstance(p, Path) and isinstance(q, Path)):
+            raise NotSupportedError(f"p and q must be Paths, not {p!r} and {q!r}")
         if path_range(self.graph, p) != path_range(self.graph, q):
             raise NotSupportedError("p and q must have a common range")
 
@@ -487,8 +489,10 @@ def _product(ctx: AlgebraContext, left: dict, right: dict) -> dict:
 def normalize_monomial(
     ctx: AlgebraContext, p: Path, q: Path, coeff=1, rng: object = None
 ) -> "AlgebraElement":
-    """Normal form of coeff * p q*.  ``rng`` has no effect: the term reduces
-    along one chain, so there is no rewrite order to choose."""
+    """Normal form of coeff * p q*; p and q must share their range.  ``rng``
+    has no effect: the term reduces along one chain, so there is no rewrite
+    order to choose."""
+    ctx._require_common_range(p, q)
     return _from_terms(ctx, [(p.base, p.edges, q.base, q.edges)], [ctx.field.coerce(coeff)])
 
 
@@ -577,11 +581,15 @@ class AlgebraElement:
         reduced once, so the cost is linear in the terms; folding ``+``
         would copy the accumulated map at every step.
         """
+        if not elements:
+            raise NotSupportedError("a sum needs at least one element")
         first = elements[0]
+        for x in elements:
+            if not isinstance(x, AlgebraElement):
+                raise NotSupportedError(f"only algebra elements can be added, not {x!r}")
+            first._check(x)
         if len(elements) == 1:
             return first
-        for x in elements:
-            first._check(x)
         d = math.lcm(*(x._den for x in elements))
         acc: dict[tuple, int] = {}
         for x in elements:
@@ -710,11 +718,8 @@ def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
 
 
 def _require_finite_bundles(g: Graph) -> None:
-    for e in g.edges:
-        if e.mult is OMEGA:
-            raise ResourceCapError(
-                f"bundle {e.id!r} is infinite; path enumeration is unbounded"
-            )
+    if g._infinite is not None:
+        raise ResourceCapError(f"bundle {g._infinite!r} is infinite; path enumeration is unbounded")
 
 
 def _paths_by_length(g: Graph, max_len: int, cap: int) -> dict[str, list[list[Path]]]:

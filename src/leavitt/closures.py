@@ -18,7 +18,6 @@ from .graph import (
     _address,
     _addressed_bundle,
     _as_addresses,
-    _regular_out,
     _require_int,
     classify_vertex,
     condensation,
@@ -68,7 +67,7 @@ def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:
     outside the set, and a regular vertex joins when its count reaches 0.
     """
     seed_set = frozenset(g.require_vertex(v) for v in _as_vertex_set(seed))
-    outside = {v: len(bs) for v, bs in g._out.items() if _regular_out(bs)}
+    outside = {v: len(g._out[v]) for v, d in g._degree.items() if d != 0 and d is not OMEGA}
     closed: set[str] = set()
     todo = list(seed_set)
     while todo:

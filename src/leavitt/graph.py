@@ -73,7 +73,7 @@ _new_edge = partial(tuple.__new__, Edge)
 class Graph:
     """A finite directed graph with multiplicity-labelled edge bundles."""
 
-    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_scc")
+    __slots__ = ("vertices", "edges", "_out", "_in", "_by_id", "_succ", "_degree", "_infinite", "_scc")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
         # a string is an iterable of letters, not of vertex ids
@@ -116,15 +116,19 @@ class Graph:
             raise SchemaError("duplicate edge ids")
         if not by_id.keys().isdisjoint(vs):
             raise SchemaError("vertex and edge ids must be distinct")
-        # one pass in id order: the first edge with an undeclared endpoint raises
+        # one pass in id order: the first edge with an undeclared endpoint
+        # raises, and the first infinite bundle has the least id
         out: dict = {v: [] for v in vs}
         inc: dict = {v: [] for v in vs}
+        infinite = None
         for e in es:
             try:
                 out[e.src].append(e)
                 inc[e.dst].append(e)
             except KeyError:
                 raise SchemaError(f"edge {e.id!r} has undeclared endpoint") from None
+            if e.mult is OMEGA and infinite is None:
+                infinite = e.id
         # every concrete edge has one address: no edge or vertex id may also
         # be the address of an edge of another bundle
         for kind, xids in (("edge", by_id), ("vertex", vs)):
@@ -132,15 +136,20 @@ class Graph:
                 owner = _addressed_bundle(xid, by_id) if "]" in xid else None
                 if owner is not None:
                     raise SchemaError(f"{kind} id {xid!r} is the address of an edge of bundle {owner!r}")
-        # successors in sorted order; a vertex with at most one bundle needs
-        # no set and no sort
+        # successors in sorted order and the out-degree; a vertex with at
+        # most one bundle needs no set, no sort and no sum
         succ = {}
+        degree: dict = {}
         for v, bs in out.items():
             out[v] = bs = tuple(bs)
             if len(bs) < 2:
-                succ[v] = (bs[0].dst,) if bs else ()
+                succ[v], degree[v] = ((bs[0].dst,), bs[0].mult) if bs else ((), 0)
             else:
-                succ[v] = tuple(sorted({e.dst for e in bs}))
+                dsts, d = set(), 0
+                for e in bs:
+                    dsts.add(e.dst)
+                    d = OMEGA if d is OMEGA or e.mult is OMEGA else d + e.mult
+                succ[v], degree[v] = tuple(sorted(dsts)), d
         for v, bs in inc.items():
             inc[v] = tuple(bs)
         # __setattr__ refuses every write, so the slots are written past it
@@ -151,6 +160,8 @@ class Graph:
         setattr_(self, "_in", inc)
         setattr_(self, "_by_id", by_id)
         setattr_(self, "_succ", succ)
+        setattr_(self, "_degree", degree)
+        setattr_(self, "_infinite", infinite)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -201,22 +212,19 @@ class Graph:
         return self._succ[v]
 
     def out_degree(self, v: str) -> Mult:
-        """Number of concrete edges emitted by ``v`` (``OMEGA`` if infinite)."""
-        bs = self._out.get(v) if isinstance(v, str) else None
-        if bs is None:
+        """Number of concrete edges emitted by ``v`` (``OMEGA`` if infinite),
+        as counted once when the graph was built."""
+        d = self._degree.get(v) if isinstance(v, str) else None
+        if d is None:
             raise _unknown_vertex(v)
-        total = 0
-        for e in bs:
-            if e.mult is OMEGA:
-                return OMEGA
-            total += e.mult
-        return total
+        return d
 
     def is_infinite_emitter(self, v: str) -> bool:
         return self.out_degree(v) is OMEGA
 
     def is_row_finite(self) -> bool:
-        return all(e.mult is not OMEGA for e in self.edges)
+        """Whether no bundle is infinite; the least infinite bundle's id is stored at build."""
+        return self._infinite is None
 
     # -- concrete edge addresses ----------------------------------------------
 
@@ -255,12 +263,9 @@ class Graph:
 
     def concrete_out(self, v: str) -> tuple[str, ...]:
         """All concrete outgoing edge addresses of ``v``; fails on infinite emitters."""
-        addrs: list[str] = []
-        for e in self.out_bundles(v):
-            if e.mult is OMEGA:
-                raise NotSupportedError(f"vertex {v!r} emits infinitely many edges")
-            addrs.extend(_addresses(e))
-        return tuple(sorted(addrs))
+        if self.out_degree(v) is OMEGA:
+            raise NotSupportedError(f"vertex {v!r} emits infinitely many edges")
+        return tuple(sorted(a for e in self._out[v] for a in _addresses(e)))
 
     # -- reachability ----------------------------------------------------------
 
@@ -482,22 +487,10 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
 
 
 def is_regular(g: Graph, v: str) -> bool:
-    """Whether ``v`` emits finitely many edges, and at least one."""
-    bs = g._out.get(v) if isinstance(v, str) else None
-    if bs is None:
-        raise _unknown_vertex(v)
-    return _regular_out(bs)
-
-
-def _regular_out(bs: tuple[Edge, ...]) -> bool:
-    """Whether the out-bundles ``bs`` of a vertex make it regular: there is
-    one at least, and none is infinite."""
-    if not bs:
-        return False
-    for e in bs:
-        if e.mult is OMEGA:
-            return False
-    return True
+    """Whether ``v`` emits finitely many edges, and at least one: its
+    out-degree is neither 0 nor ``OMEGA``."""
+    d = g.out_degree(v)
+    return d != 0 and d is not OMEGA
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ class PeriodicPath:
     def edge_at(self, n: int) -> str:
         lp = len(self.prefix.edges)
         if n <= lp:
+            if n < 1:
+                raise NotSupportedError(f"stream positions start at 1, not {n}")
             return self.prefix.edges[n - 1]
         return self.period.edges[(n - lp - 1) % len(self.period.edges)]
 
@@ -68,6 +70,8 @@ class GeneratedStream:
     h: tuple[str, ...]
 
     def edge_at(self, n: int) -> str:
+        if n < 1:
+            raise NotSupportedError(f"stream positions start at 1, not {n}")
         pos = n
         rep = 1
         while True:

@@ -145,9 +145,8 @@ def decide_fp(g: Graph) -> FpVerdict:
     verdict holds exactly when the cycle pre-order is antisymmetric (it is
     then artinian, and the socle and quotient conditions hold).
     """
-    for e in _require_graph(g).edges:
-        if e.mult is OMEGA:
-            return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": e.id},))
+    if _require_graph(g)._infinite is not None:
+        return FpVerdict(False, ({"code": NOT_ROW_FINITE, "witness": g._infinite},))
     scc = condensation(g)
     if not any(scc.cyclic):
         return FpVerdict(True, ({"code": OK_ACYCLIC, "witness": None},))

@@ -13,6 +13,7 @@ import pytest
 from leavitt import (
     RATIONALS,
     AlgebraContext,
+    AlgebraElement,
     Cycle,
     Edge,
     ExpressionError,
@@ -255,6 +256,12 @@ _WRONG_TYPES = {
     "cycle_has_exit(g, ['c'])": lambda g, ctx: cycle_has_exit(g, ["c"]),
     "laurent_index_cardinality(g, ['c'])": lambda g, ctx: laurent_index_cardinality(g, ["c"]),
     "generated_stream(g, ['c'], ['e'])": lambda g, ctx: generated_stream(g, ["c"], ["e"]),
+    # e ends at v2 and c at v1: e c* is not in the algebra
+    "normalize_monomial(ctx, e, c)": lambda g, ctx: normalize_monomial(ctx, Path("v1", ("e",)), Path("v1", ("c",))),
+    "ctx.monomial('v1', 'v1')": lambda g, ctx: ctx.monomial("v1", "v1"),
+    "AlgebraElement.sum([])": lambda g, ctx: AlgebraElement.sum([]),
+    "AlgebraElement.sum([x, 1])": lambda g, ctx: AlgebraElement.sum([ctx.vertex("v1"), 1]),
+    "AlgebraContext(g, field='q')": lambda g, ctx: AlgebraContext(g, field="q"),
 }
 
 
@@ -263,6 +270,16 @@ def test_wrongly_typed_arguments_raise_leavitt_errors(call):
     g = g_toeplitz()
     with pytest.raises(LeavittError):
         call(g, AlgebraContext(g))
+
+
+def test_stream_positions_start_at_1():
+    periodic = periodic_stream(g_loop_chain(3), ["c1"], ["e1"])
+    generated = generated_stream(g_rose2(), Cycle(("g",)), Cycle(("h",)))
+    assert periodic.edge_at(1) == "e1" and generated.edge_at(1) == "g"
+    for stream in (periodic, generated):
+        for n in (0, -1, -3):
+            with pytest.raises(NotSupportedError, match=f"stream positions start at 1, not {n}"):
+                stream.edge_at(n)
 
 
 def test_a_path_is_not_read_from_the_letters_of_a_string():

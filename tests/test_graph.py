@@ -8,6 +8,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from leavitt import (
     OMEGA,
@@ -23,12 +24,15 @@ from leavitt import (
     condition_K,
     condition_L,
     cycle_vertices,
+    decide_fp,
     enumerate_cycles,
+    enumerate_hs_sets,
     graph_from_json,
     graph_from_obj,
     graph_to_json,
     graph_to_obj,
     line_points,
+    quotient,
     tree,
 )
 from leavitt.fixtures import (
@@ -42,6 +46,7 @@ from leavitt.fixtures import (
     g_toeplitz,
     random_graph,
 )
+from leavitt.graph import is_regular
 
 
 def test_classify_sink_regular_infinite():
@@ -260,3 +265,46 @@ def test_clock_classification():
     g = g_clock(3)
     assert classify_vertex(g, "u").out_degree == 3
     assert line_points(g) == {"w1", "w2", "w3"}
+
+
+@st.composite
+def _bundle_graphs(draw):
+    """A graph of up to 8 vertices whose bundles have multiplicity 1-3 or
+    omega, parallel bundles and loops included; the ids e0, e1, ... follow
+    the drawn order, not the order of the sources."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    vertex, mult = st.sampled_from(vs), st.sampled_from([1, 2, 3, OMEGA])
+    bundles = draw(st.lists(st.tuples(vertex, vertex, mult), max_size=12))
+    return Graph(vs, [Edge(f"e{k}", *b) for k, b in enumerate(bundles)])
+
+
+def _assert_emission_matches_a_recount(g):
+    for v in g.vertices:
+        mults = [e.mult for e in g.edges if e.src == v]
+        infinite = any(m is OMEGA for m in mults)
+        d = g.out_degree(v)
+        assert (d is OMEGA) if infinite else (d == sum(mults)), (g, v)
+        assert is_regular(g, v) == (not infinite and bool(mults)), (g, v)
+        assert g.is_infinite_emitter(v) == infinite, (g, v)
+        c = classify_vertex(g, v)
+        expected = ("infinite_emitter", None) if infinite else ("regular", sum(mults)) if mults else ("sink", None)
+        assert (c.kind, c.out_degree) == expected, (g, v)
+    infinite_ids = sorted(e.id for e in g.edges if e.mult is OMEGA)
+    assert g.is_row_finite() == (not infinite_ids), g
+    reasons = decide_fp(g).reasons
+    if infinite_ids:
+        assert reasons == ({"code": "NOT_ROW_FINITE", "witness": infinite_ids[0]},), g
+    else:
+        assert all(r["code"] != "NOT_ROW_FINITE" for r in reasons), g
+
+
+@seed(24)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_bundle_graphs())
+def test_emission_table_matches_a_recount_of_the_bundles(g):
+    # the table is built with the graph, so each way of building one is checked
+    _assert_emission_matches_a_recount(g)
+    _assert_emission_matches_a_recount(graph_from_obj(graph_to_obj(g)))
+    _assert_emission_matches_a_recount(pickle.loads(pickle.dumps(g)))
+    for h in enumerate_hs_sets(g):
+        _assert_emission_matches_a_recount(quotient(g, h.vertices))
