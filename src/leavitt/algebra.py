@@ -492,6 +492,8 @@ def normalize_monomial(
     """Normal form of coeff * p q*; p and q must share their range.  ``rng``
     has no effect: the term reduces along one chain, so there is no rewrite
     order to choose."""
+    if not isinstance(ctx, AlgebraContext):
+        raise NotSupportedError(f"expected an AlgebraContext, not {ctx!r}")
     ctx._require_common_range(p, q)
     return _from_terms(ctx, [(p.base, p.edges, q.base, q.edges)], [ctx.field.coerce(coeff)])
 
@@ -574,13 +576,18 @@ class AlgebraElement:
             raise ContextMismatchError("operands belong to different algebra contexts")
 
     @staticmethod
-    def sum(elements: Sequence["AlgebraElement"]) -> "AlgebraElement":
-        """The sum of one or more elements of one context.
+    def sum(elements: Iterable["AlgebraElement"]) -> "AlgebraElement":
+        """The sum of one or more elements of one context, from any iterable.
 
         The terms go into one map over one common denominator, which is
         reduced once, so the cost is linear in the terms; folding ``+``
         would copy the accumulated map at every step.
         """
+        try:
+            items = iter(elements)
+        except TypeError:
+            raise NotSupportedError(f"a sum takes an iterable of algebra elements, not {elements!r}") from None
+        elements = tuple(items)
         if not elements:
             raise NotSupportedError("a sum needs at least one element")
         first = elements[0]

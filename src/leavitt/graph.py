@@ -136,15 +136,16 @@ class Graph:
                 owner = _addressed_bundle(xid, by_id) if "]" in xid else None
                 if owner is not None:
                     raise SchemaError(f"{kind} id {xid!r} is the address of an edge of bundle {owner!r}")
-        # successors in sorted order and the out-degree; a vertex with at
-        # most one bundle needs no set, no sort and no sum
+        # successors in sorted order and the out-degree; a vertex with one
+        # bundle needs no set, no sort and no sum
         succ = {}
         degree: dict = {}
         for v, bs in out.items():
             out[v] = bs = tuple(bs)
-            if len(bs) < 2:
-                succ[v], degree[v] = ((bs[0].dst,), bs[0].mult) if bs else ((), 0)
-            else:
+            if len(bs) == 1:
+                succ[v] = (bs[0].dst,)
+                degree[v] = bs[0].mult
+            else:  # none, or two or more
                 dsts, d = set(), 0
                 for e in bs:
                     dsts.add(e.dst)
@@ -517,12 +518,12 @@ def tree(g: Graph, v: str) -> TreeView:
     return TreeView(v, verts, induced)
 
 
-# a field of Condensation that __post_init__ fills: not an argument, and not
-# part of equality or of the repr
+# a derived field of Condensation: ``init=False`` tells it from the six base
+# ones, and it takes no part in equality or the repr
 _derived = partial(field, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Condensation:
     """The strongly connected components (SCCs) of a graph, and every
     structural answer read off them.
@@ -535,11 +536,11 @@ class Condensation:
     bundle inside SCC ``i`` (None if there is none), and ``branching[i]``
     tells whether a vertex of SCC ``i`` emits two or more concrete edges.
 
-    The answers derived from these are plain fields that take no part in
-    equality, filled in O(V + E) by one pass over the SCCs in reverse
+    The derived answers are plain fields that take no part in equality.
+    The class has no constructor: :func:`_tarjan` writes every field, the
+    derived ones in O(V + E) by one pass over the SCCs in reverse
     topological order, so each SCC comes after every SCC it reaches.  Those
-    about cycles are read only after :func:`_require_finitely_many_cycles`
-    has passed.
+    about cycles are read only once :func:`_require_finitely_many_cycles` passes.
     """
 
     component: Mapping[str, int]
@@ -565,51 +566,6 @@ class Condensation:
     longest_chain: int | None = _derived()
     # the vertices of the SCCs that reach no SCC on a closed path or with a vertex emitting two or more edges
     line_points: frozenset[str] = _derived()
-
-    def __post_init__(self):
-        members, inner, successors, branching = self.members, self.inner_edges, self.successors, self.branching
-        n = len(members)
-        cyclic, single, no_exit, minimal = [False] * n, [False] * n, [False] * n, [False] * n
-        r_cyclic, r_single, r_no_exit = [False] * n, [False] * n, [False] * n
-        infinite = list(self.infinite_bundle)
-        bad = [False] * n  # reaches (or is) an SCC that is cyclic or branching
-        depth = [0] * n  # the cyclic SCCs on a longest path from the SCC
-        antisymmetric = True
-        for i in reversed(range(n)):
-            k, succ = inner[i], successors[i]
-            cyclic[i] = c = k != 0
-            single[i] = s = k == len(members[i])
-            no_exit[i] = x = s and not succ
-            # what the successors reach: each is done, as it comes later
-            rc = rs = rx = rb = False
-            least, d = infinite[i], 0
-            for j in succ:
-                rc |= r_cyclic[j]
-                rs |= r_single[j]
-                rx |= r_no_exit[j]
-                rb |= bad[j]
-                if depth[j] > d:
-                    d = depth[j]
-                b = infinite[j]
-                if b is not None and (least is None or b < least):
-                    least = b
-            minimal[i] = c and not rc
-            r_cyclic[i], r_single[i], r_no_exit[i] = c or rc, s or rs, x or rx
-            bad[i] = c or branching[i] or rb
-            infinite[i] = least
-            depth[i] = c + d
-            if c and not s:
-                antisymmetric = False
-        setattr_ = partial(object.__setattr__, self)  # the class is frozen
-        for name, per_scc in (
-            ("cyclic", cyclic), ("single_cycle", single), ("no_exit", no_exit), ("minimal", minimal),
-            ("reaches_cyclic", r_cyclic), ("reaches_single_cycle", r_single), ("reaches_no_exit", r_no_exit),
-            ("infinite_reached", infinite),
-        ):
-            setattr_(name, tuple(per_scc))
-        setattr_("antisymmetric", antisymmetric)
-        setattr_("longest_chain", max(depth, default=0) if antisymmetric else None)
-        setattr_("line_points", frozenset(v for i, b in enumerate(bad) if not b for v in members[i]))
 
 
 def condensation(g: Graph) -> Condensation:
@@ -667,9 +623,10 @@ def _tarjan(g: Graph) -> Condensation:
                     for w in scc:
                         index[w] = done
                     found.append(scc)
+    found.reverse()  # now each SCC comes before every SCC it reaches
     n = len(found)
-    component = {v: n - 1 - i for i, scc in enumerate(found) for v in scc}
-    members = tuple(tuple(scc) if len(scc) == 1 else tuple(sorted(scc)) for scc in reversed(found))
+    component = {v: i for i, scc in enumerate(found) for v in scc}
+    members = tuple(tuple(scc) if len(scc) == 1 else tuple(sorted(scc)) for scc in found)
     inner: list[Mult] = [0] * n
     infinite: list[str | None] = [None] * n
     branching = [False] * n
@@ -687,14 +644,50 @@ def _tarjan(g: Graph) -> Condensation:
                 infinite[i] = eid
         elif inner[i] is not OMEGA:
             inner[i] += mult
-    return Condensation(
-        component,
-        members,
-        tuple(inner),
-        tuple(tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in successors),
-        tuple(infinite),
-        tuple(branching),
+    succs = tuple(tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in successors)
+    # the derived fields, each SCC after every SCC it reaches
+    cyclic, single, no_exit, minimal = [False] * n, [False] * n, [False] * n, [False] * n
+    r_cyclic, r_single, r_no_exit = [False] * n, [False] * n, [False] * n
+    reached = infinite.copy()
+    bad = [False] * n  # reaches (or is) an SCC that is cyclic or branching
+    depth = [0] * n  # the cyclic SCCs on a longest path from the SCC
+    antisymmetric = True
+    for i in reversed(range(n)):
+        k, succ = inner[i], succs[i]
+        cyclic[i] = c = k != 0
+        single[i] = s = k == len(members[i])
+        no_exit[i] = x = s and not succ
+        # what the successors reach: each is done, as it comes later
+        rc = rs = rx = rb = False
+        least, d = reached[i], 0
+        for j in succ:
+            rc |= r_cyclic[j]
+            rs |= r_single[j]
+            rx |= r_no_exit[j]
+            rb |= bad[j]
+            if depth[j] > d:
+                d = depth[j]
+            b = reached[j]
+            if b is not None and (least is None or b < least):
+                least = b
+        minimal[i] = c and not rc
+        r_cyclic[i], r_single[i], r_no_exit[i] = c or rc, s or rs, x or rx
+        bad[i] = c or branching[i] or rb
+        reached[i] = least
+        depth[i] = c + d
+        if c and not s:
+            antisymmetric = False
+    record = object.__new__(Condensation)  # no constructor: every field is written here, past __setattr__
+    vars(record).update(
+        component=component, members=members, inner_edges=tuple(inner), successors=succs,
+        infinite_bundle=tuple(infinite), branching=tuple(branching), cyclic=tuple(cyclic),
+        single_cycle=tuple(single), no_exit=tuple(no_exit), minimal=tuple(minimal),
+        reaches_cyclic=tuple(r_cyclic), reaches_single_cycle=tuple(r_single), reaches_no_exit=tuple(r_no_exit),
+        infinite_reached=tuple(reached), antisymmetric=antisymmetric,
+        longest_chain=max(depth, default=0) if antisymmetric else None,
+        line_points=frozenset(v for i, b in enumerate(bad) if not b for v in members[i]),
     )
+    return record
 
 
 def _require_finitely_many_cycles(g: Graph) -> None:
@@ -730,30 +723,36 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
     :class:`InfinitelyManyCyclesError`.  The cycles of an itinerary are
     counted before any is listed, so the cap costs nothing per edge.
     """
-    _require_int(max_cycles, "the cycle cap")
-    order = {v: i for i, v in enumerate(g.vertices)}
-    found: list[Cycle] = []
+    return list(_cycles(g, max_cycles)[0])
 
-    def expand(steps: list[tuple[str, str]]) -> None:
+
+def _cycles(g: Graph, max_cycles: int) -> tuple[tuple[Cycle, ...], tuple[int, ...]]:
+    """The cycles of :func:`enumerate_cycles`, and the SCC of each."""
+    _require_int(max_cycles, "the cycle cap")
+    found: list[tuple[int, tuple[str, ...], int]] = []  # (length, canonical edges, SCC) per cycle
+
+    def expand(steps: list[tuple[str, str]], home: int) -> None:
         # one concrete-address choice per step; multiplicities multiply out
-        bundles = [[e for e in g.out_bundles(u) if e.dst == w] for u, w in steps]
+        bundles = [[e for e in g._out[u] if e.dst == w] for u, w in steps]
         for e in (e for step in bundles for e in step):
             if e.mult is OMEGA:
                 raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
         if len(found) + prod(sum(e.mult for e in step) for step in bundles) > max_cycles:
             raise ResourceCapError(f"more than {max_cycles} simple cycles")
         choices = [sorted(a for e in step for a in _addresses(e)) for step in bundles]
-        found.extend(map(_rotated, product(*choices)))
+        for edges in product(*choices):
+            k = edges.index(min(edges))  # the canonical rotation starts at the least address
+            found.append((len(edges), edges[k:] + edges[:k], home))
 
-    # depth-first from each root through higher-ordered vertices of its own
-    # SCC only (a cycle through root never leaves it), so each vertex
-    # itinerary is found once, from its least vertex, and no cycle twice
+    # depth-first from each root through greater vertex ids of its own SCC
+    # only (a cycle through root never leaves it), so each vertex itinerary
+    # is found once, from its least vertex, and no cycle twice
     component = condensation(g).component
     for root in g.vertices:
-        rank, home = order[root], component[root]
+        home = component[root]
         # the walk closes only along an edge into root from root itself or
-        # from a higher-ordered vertex of its SCC
-        if not any(order[e.src] >= rank and component[e.src] == home for e in g._in[root]):
+        # from a greater vertex of its SCC
+        if not any(e.src >= root and component[e.src] == home for e in g._in[root]):
             continue
         visited = {root}
         steps: list[tuple[str, str]] = []  # the current path, one step per frame below root
@@ -763,9 +762,9 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
             for w in succ:
                 if w == root:
                     steps.append((v, w))
-                    expand(steps)
+                    expand(steps, home)
                     steps.pop()
-                elif order[w] > rank and component[w] == home and w not in visited:
+                elif w > root and component[w] == home and w not in visited:
                     visited.add(w)
                     steps.append((v, w))
                     work.append((w, iter(g._succ[w])))
@@ -775,8 +774,9 @@ def enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cyc
                 if work:
                     visited.discard(v)
                     steps.pop()
-    found.sort(key=Cycle.sort_key)
-    return found
+    # no two cycles have the same edges, so the SCC never decides the order
+    found.sort()
+    return tuple(Cycle(edges) for _, edges, _ in found), tuple(home for _, _, home in found)
 
 
 def condition_L(g: Graph) -> bool:

@@ -46,10 +46,11 @@ class PeriodicPath:
     period: Path
 
     def edge_at(self, n: int) -> str:
+        if not isinstance(n, int) or n < 1:
+            _require_int(n, "a stream position")
+            raise NotSupportedError(f"stream positions start at 1, not {n}")
         lp = len(self.prefix.edges)
         if n <= lp:
-            if n < 1:
-                raise NotSupportedError(f"stream positions start at 1, not {n}")
             return self.prefix.edges[n - 1]
         return self.period.edges[(n - lp - 1) % len(self.period.edges)]
 
@@ -70,7 +71,8 @@ class GeneratedStream:
     h: tuple[str, ...]
 
     def edge_at(self, n: int) -> str:
-        if n < 1:
+        if not isinstance(n, int) or n < 1:
+            _require_int(n, "a stream position")
             raise NotSupportedError(f"stream positions start at 1, not {n}")
         pos = n
         rep = 1

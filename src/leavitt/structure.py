@@ -35,6 +35,7 @@ from .graph import (
     Cycle,
     Graph,
     _address,
+    _cycles,
     _require_cycle,
     _require_finitely_many_cycles,
     _require_graph,
@@ -43,7 +44,6 @@ from .graph import (
     condensation,
     cycle_base,
     cycle_vertices,
-    enumerate_cycles,
 )
 
 # reason codes for finite-presentation verdicts
@@ -94,9 +94,8 @@ class CyclePoset:
 def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
     """The enumerated cycles, with the pre-order kept as per-SCC
     reachability bitsets."""
-    cycles = tuple(enumerate_cycles(g, max_cycles))
+    cycles, at = _cycles(g, max_cycles)
     scc = condensation(g)
-    at = tuple(scc.component[cycle_base(g, c)] for c in cycles)
     # bit j of reach[i]: SCC i reaches SCC j (or is it)
     reach = [0] * len(scc.successors)
     for i in reversed(range(len(reach))):

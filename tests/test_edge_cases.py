@@ -262,6 +262,13 @@ _WRONG_TYPES = {
     "AlgebraElement.sum([])": lambda g, ctx: AlgebraElement.sum([]),
     "AlgebraElement.sum([x, 1])": lambda g, ctx: AlgebraElement.sum([ctx.vertex("v1"), 1]),
     "AlgebraContext(g, field='q')": lambda g, ctx: AlgebraContext(g, field="q"),
+    "normalize_monomial(5, v1, v1)": lambda g, ctx: normalize_monomial(5, Path("v1"), Path("v1")),
+    "AlgebraElement.sum(5)": lambda g, ctx: AlgebraElement.sum(5),
+    "periodic_stream(g, ['c']).edge_at('x')": lambda g, ctx: periodic_stream(g, ["c"]).edge_at("x"),
+    "periodic_stream(g, ['c']).edge_at(1.5)": lambda g, ctx: periodic_stream(g, ["c"]).edge_at(1.5),
+    "generated_stream(rose2, g, h).edge_at('x')": lambda g, ctx: generated_stream(
+        g_rose2(), Cycle(("g",)), Cycle(("h",))
+    ).edge_at("x"),
 }
 
 
@@ -270,6 +277,24 @@ def test_wrongly_typed_arguments_raise_leavitt_errors(call):
     g = g_toeplitz()
     with pytest.raises(LeavittError):
         call(g, AlgebraContext(g))
+
+
+def test_a_sum_takes_any_iterable():
+    ctx = AlgebraContext(g_toeplitz())
+    xs = [ctx.vertex("v1"), ctx.edge("c"), ctx.vertex("v1")]
+    assert AlgebraElement.sum(x for x in xs) == AlgebraElement.sum(xs) == xs[0] + xs[1] + xs[2]
+    assert AlgebraElement.sum(iter(xs[:1])) == xs[0]
+    with pytest.raises(NotSupportedError, match="a sum needs at least one element"):
+        AlgebraElement.sum(x for x in ())
+
+
+def test_stream_positions_are_integers():
+    periodic = periodic_stream(g_loop_chain(3), ["c1"], ["e1"])
+    generated = generated_stream(g_rose2(), Cycle(("g",)), Cycle(("h",)))
+    for stream in (periodic, generated):
+        for n in ("x", 1.5, 2.0, None):
+            with pytest.raises(NotSupportedError, match=f"a stream position must be an integer, not {n!r}"):
+                stream.edge_at(n)
 
 
 def test_stream_positions_start_at_1():
