@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from math import prod
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -541,6 +540,11 @@ class Condensation:
     derived ones in O(V + E) by one pass over the SCCs in reverse
     topological order, so each SCC comes after every SCC it reaches.  Those
     about cycles are read only once :func:`_require_finitely_many_cycles` passes.
+
+    Chains of cycles are read off ``depth``: an SCC reaches a cyclic SCC
+    exactly when its depth is not 0, a cyclic SCC reaches no other cyclic
+    SCC exactly when its depth is 1, ``longest_chain`` is the greatest
+    depth, and the steps of the gk filtration are its levels.
     """
 
     component: Mapping[str, int]
@@ -553,16 +557,18 @@ class Condensation:
     cyclic: tuple[bool, ...] = _derived()  # per SCC: it lies on a closed path
     single_cycle: tuple[bool, ...] = _derived()  # per SCC: it is one simple cycle (one inner edge per vertex)
     no_exit: tuple[bool, ...] = _derived()  # per SCC: it is a single cycle that no edge leaves
+    # per SCC: the cyclic SCCs on a longest path of the DAG from it (itself
+    # included), so 0 when it reaches no cyclic SCC, and 1 for a cyclic SCC
+    # that reaches no other
+    depth: tuple[int, ...] = _derived()
     # per SCC: it reaches (or is) an SCC with that flag
-    reaches_cyclic: tuple[bool, ...] = _derived()
     reaches_single_cycle: tuple[bool, ...] = _derived()
     reaches_no_exit: tuple[bool, ...] = _derived()
     # per SCC: the least id of an infinite bundle inside an SCC that it reaches (or is), or None
     infinite_reached: tuple[str | None, ...] = _derived()
-    minimal: tuple[bool, ...] = _derived()  # per SCC: it is cyclic and reaches no other cyclic SCC
     antisymmetric: bool = _derived()  # the cycle pre-order is antisymmetric: every cyclic SCC is a single cycle
-    # the number of cycles in a longest strictly descending chain: the longest
-    # path of the DAG, counting cyclic SCCs (None unless antisymmetric)
+    # the number of cycles in a longest strictly descending chain, max(depth)
+    # (None unless antisymmetric)
     longest_chain: int | None = _derived()
     # the vertices of the SCCs that reach no SCC on a closed path or with a vertex emitting two or more edges
     line_points: frozenset[str] = _derived()
@@ -646,11 +652,11 @@ def _tarjan(g: Graph) -> Condensation:
             inner[i] += mult
     succs = tuple(tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in successors)
     # the derived fields, each SCC after every SCC it reaches
-    cyclic, single, no_exit, minimal = [False] * n, [False] * n, [False] * n, [False] * n
-    r_cyclic, r_single, r_no_exit = [False] * n, [False] * n, [False] * n
+    cyclic, single, no_exit = [False] * n, [False] * n, [False] * n
+    r_single, r_no_exit = [False] * n, [False] * n
     reached = infinite.copy()
     bad = [False] * n  # reaches (or is) an SCC that is cyclic or branching
-    depth = [0] * n  # the cyclic SCCs on a longest path from the SCC
+    depth = [0] * n
     antisymmetric = True
     for i in reversed(range(n)):
         k, succ = inner[i], succs[i]
@@ -658,10 +664,9 @@ def _tarjan(g: Graph) -> Condensation:
         single[i] = s = k == len(members[i])
         no_exit[i] = x = s and not succ
         # what the successors reach: each is done, as it comes later
-        rc = rs = rx = rb = False
+        rs = rx = rb = False
         least, d = reached[i], 0
         for j in succ:
-            rc |= r_cyclic[j]
             rs |= r_single[j]
             rx |= r_no_exit[j]
             rb |= bad[j]
@@ -670,8 +675,7 @@ def _tarjan(g: Graph) -> Condensation:
             b = reached[j]
             if b is not None and (least is None or b < least):
                 least = b
-        minimal[i] = c and not rc
-        r_cyclic[i], r_single[i], r_no_exit[i] = c or rc, s or rs, x or rx
+        r_single[i], r_no_exit[i] = s or rs, x or rx
         bad[i] = c or branching[i] or rb
         reached[i] = least
         depth[i] = c + d
@@ -681,8 +685,8 @@ def _tarjan(g: Graph) -> Condensation:
     vars(record).update(
         component=component, members=members, inner_edges=tuple(inner), successors=succs,
         infinite_bundle=tuple(infinite), branching=tuple(branching), cyclic=tuple(cyclic),
-        single_cycle=tuple(single), no_exit=tuple(no_exit), minimal=tuple(minimal),
-        reaches_cyclic=tuple(r_cyclic), reaches_single_cycle=tuple(r_single), reaches_no_exit=tuple(r_no_exit),
+        single_cycle=tuple(single), no_exit=tuple(no_exit), depth=tuple(depth),
+        reaches_single_cycle=tuple(r_single), reaches_no_exit=tuple(r_no_exit),
         infinite_reached=tuple(reached), antisymmetric=antisymmetric,
         longest_chain=max(depth, default=0) if antisymmetric else None,
         line_points=frozenset(v for i, b in enumerate(bad) if not b for v in members[i]),
@@ -733,12 +737,20 @@ def _cycles(g: Graph, max_cycles: int) -> tuple[tuple[Cycle, ...], tuple[int, ..
 
     def expand(steps: list[tuple[str, str]], home: int) -> None:
         # one concrete-address choice per step; multiplicities multiply out
-        bundles = [[e for e in g._out[u] if e.dst == w] for u, w in steps]
-        for e in (e for step in bundles for e in step):
-            if e.mult is OMEGA:
-                raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
-        if len(found) + prod(sum(e.mult for e in step) for step in bundles) > max_cycles:
+        bundles, count = [], 1
+        for u, w in steps:
+            step, n = [], 0
+            for e in g._out[u]:
+                if e.dst == w:
+                    if e.mult is OMEGA:
+                        raise InfinitelyManyCyclesError(f"infinite bundle {e.id!r} lies on a closed path")
+                    step.append(e)
+                    n += e.mult
+            bundles.append(step)
+            count *= n
+        if len(found) + count > max_cycles:
             raise ResourceCapError(f"more than {max_cycles} simple cycles")
+        # the addresses are listed only once the cap has passed their count
         choices = [sorted(a for e in step for a in _addresses(e)) for step in bundles]
         for edges in product(*choices):
             k = edges.index(min(edges))  # the canonical rotation starts at the least address

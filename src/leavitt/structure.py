@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .closures import HSSet
+from .closures import HSSet, saturated_closure
 from .errors import InfinitelyManyCyclesError, NotSupportedError
 from .graph import (
     MAX_CYCLES_DEFAULT,
@@ -107,7 +107,7 @@ def cycle_poset(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> CyclePoset:
         cycles,
         scc.antisymmetric,
         scc.longest_chain,
-        tuple(c for c, i in zip(cycles, at) if scc.minimal[i]),
+        tuple(c for c, i in zip(cycles, at) if scc.depth[i] == 1),
         tuple(c for c, i in zip(cycles, at) if scc.no_exit[i]),
         at,
         tuple(reach),
@@ -313,61 +313,51 @@ def fp_filtration(g: Graph) -> Filtration:
 
 def gk_filtration(g: Graph) -> Filtration:
     """The finite chain of hereditary saturated sets witnessing polynomially
-    bounded growth: first the closure of the exit targets of minimal cycles,
-    then, per step, all acyclic vertices and all no-exit cycles of the
-    current quotient.
+    bounded growth, one step per level of the SCC ``depth``.
+
+    The first set, H0, is the closure of the exit targets of the cycles of
+    depth 1, and holds vertices of depth 0 only.  Step k adds the cycles of
+    depth k, least ``Cycle.sort_key`` first, and step 1 also the vertices of
+    depth 0 outside H0.  The set after step k is H0 with every SCC of depth
+    at most k: the cycles of depth k are the no-exit cycles of the quotient
+    by the set before, and saturation takes in each vertex of depth k that
+    lies on no cycle.
     """
     if not decide_gk(g).finite:
         raise NotSupportedError("growth is not polynomially bounded")
     if not g.is_row_finite():
         raise NotSupportedError("filtrations require a row-finite graph")
     scc = condensation(g)
-    comp = scc.component
-    exit_targets = frozenset(
-        e.dst
-        for i, vs in enumerate(scc.members)
-        if scc.minimal[i]
-        for v in vs
-        for e in g.out_bundles(v)
-        if comp[e.dst] != i
+    comp, members = scc.component, scc.members
+    # the SCCs per depth; an acyclic graph, or one with no vertices, takes one step
+    by_depth: list[list[int]] = [[] for _ in range(max([1, *scc.depth]) + 1)]
+    for i, d in enumerate(scc.depth):
+        by_depth[d].append(i)
+    exit_targets = (
+        e.dst for i in by_depth[1] if scc.cyclic[i] for v in members[i] for e in g._out[v] if comp[e.dst] != i
     )
-    q = _Quotient(g, scc)
-    q.grow(exit_targets)
-    chain: list[HSSet] = []
-    layers: list[Layer] = []
-    if q.vertices:
-        chain.append(HSSet(frozenset(q.vertices), exit_targets))
-        layers.append(VnrLayer(chain[0].vertices))
-    # H holds no cycle yet, so the first quotient's acyclic vertices are those
-    # that reach no cycle; once they (and so every sink) are in H, saturation
-    # has taken in each vertex reaching no cycle outside H, and later steps
-    # add only no-exit cycles
-    acyclic = frozenset(
-        v for i, vs in enumerate(scc.members) if not q.in_h[i] and not scc.reaches_cyclic[i] for v in vs
-    )
-    while len(q.vertices) < len(g.vertices):
-        no_exit = list(q.no_exit_cycles())
-        added = set(acyclic)
-        for c in no_exit:
-            added |= cycle_vertices(g, c)
-        laurent = tuple(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))) for c in no_exit)
+    h0 = saturated_closure(g, exit_targets)
+    h = h0.vertices
+    chain: list[HSSet] = [h0] if h else []
+    layers: list[Layer] = [VnrLayer(h)] if h else []
+    acyclic = frozenset(v for i in by_depth[0] for v in members[i] if v not in h)
+    for level in by_depth[1:]:
+        cyclic = [i for i in level if scc.cyclic[i]]
+        cycles = sorted((_scc_cycle(g, scc, i) for i in cyclic), key=Cycle.sort_key)
+        laurent = tuple(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))) for c in cycles)
         if acyclic and laurent:
             layer: Layer = MixedLayer(acyclic, laurent)
-        elif laurent and len(laurent) == 1:
+        elif len(laurent) == 1:
             layer = laurent[0]
         elif laurent:
             layer = MixedLayer(frozenset(), laurent)
         else:
             layer = VnrLayer(acyclic)
-        seed = frozenset(q.vertices) | added
-        q.grow(added)
-        chain.append(HSSet(frozenset(q.vertices), seed))
+        seed = h | acyclic | {v for i in cyclic for v in members[i]}
+        h = seed.union(v for i in level for v in members[i])
+        chain.append(HSSet(h, seed))
         layers.append(layer)
         acyclic = frozenset()
-    if not chain:
-        # graph with no vertices at all
-        chain = [HSSet(frozenset(), frozenset())]
-        layers = [VnrLayer(frozenset())]
     return Filtration(tuple(chain), tuple(layers))
 
 
@@ -432,7 +422,7 @@ def corner_report(g: Graph, v: str) -> CornerReport:
         v,
         v in scc.line_points,
         scc.no_exit[i],
-        not scc.reaches_cyclic[i],
+        not scc.depth[i],
         not scc.reaches_no_exit[i],
         not scc.reaches_single_cycle[i],
     )
@@ -547,21 +537,17 @@ def _entry_paths(g: Graph, scc: Condensation, base: str) -> Union[int, object]:
 
 class _Quotient:
     """The quotient of a row-finite graph by a hereditary saturated set H
-    that grows step by step.
+    that grows step by step: :func:`fp_filtration` takes the least no-exit
+    cycle of the current quotient at each step, which needs this walk.
 
-    On a row-finite graph the quotient by H is the subgraph induced on
-    V \\ H, and H is a union of whole SCCs, so H grows one SCC at a time and
-    the SCCs of the quotient are those of the graph outside H.  Per SCC this
-    keeps one count of the successor SCCs still outside H: when it reaches
-    0, an SCC with no inner edge (one regular vertex) joins H by saturation,
-    and a single cycle has become a no-exit cycle of the quotient.  A vertex
-    of a cyclic SCC keeps an edge inside its SCC, so saturation never adds
-    one.  A no-exit cycle is built once, when its SCC loses its last exit,
-    and waits in a heap by ``Cycle.sort_key``.  The filtrations grow H only
-    by vertices that reach no cycle outside H and by cycles taken from the
-    heap, so no cycle joins H while it waits.
-    Growing H from empty to everything costs O(V + E) plus O(C log C) for
-    the C no-exit cycles.
+    H is a union of whole SCCs, so the SCCs of the quotient are those of the
+    graph outside H.  Per SCC this keeps one count of the successor SCCs
+    still outside H: when it reaches 0, an SCC with no inner edge (one
+    regular vertex) joins H by saturation, and a single cycle has become a
+    no-exit cycle of the quotient, which waits in a heap by
+    ``Cycle.sort_key``.  H grows only by line points and by cycles taken
+    from the heap, so no cycle joins H while it waits.  Growing H from empty
+    to everything costs O(V + E) plus O(C log C) for the C no-exit cycles.
     """
 
     def __init__(self, g: Graph, scc: Condensation):

@@ -3,11 +3,14 @@ the one derivation pass replaced.
 
 ``_CachedCondensation`` holds the six fields that ``_tarjan`` fills and the
 earlier ``reaches`` helper and twelve ``cached_property`` bodies, kept as
-they were except for the class name and docstring.  On seeded graphs (with
+they were except for the class name and docstring, and a ``depth`` property,
+the ``longest_chain`` pass without its maximum.  On seeded graphs (with
 multi-edges, omega bundles, cycle pre-orders that fail antisymmetry, and no
 vertices at all) and on a long line and a long ring, every derived field of
 ``condensation(g)`` must equal the oracle's property, and the reachability
-bitsets of ``cycle_poset(g)`` its ``reach``.
+bitsets of ``cycle_poset(g)`` its ``reach``.  The oracle's ``reaches_cyclic``
+and ``minimal``, which the condensation no longer keeps, must read
+``depth > 0`` and ``cyclic and depth == 1``.
 """
 
 from __future__ import annotations
@@ -114,6 +117,15 @@ class _CachedCondensation:
         return max(depth, default=0)
 
     @cached_property
+    def depth(self) -> tuple[int, ...]:
+        """Per SCC: the cyclic SCCs on a longest path of the DAG from it."""
+        succ = self.successors
+        depth = [0] * len(succ)
+        for i in reversed(range(len(succ))):
+            depth[i] = self.cyclic[i] + max((depth[j] for j in succ[i]), default=0)
+        return tuple(depth)
+
+    @cached_property
     def minimal(self) -> list[bool]:
         """Per SCC: whether it is cyclic and reaches no other cyclic SCC."""
         r = self.reaches_cyclic
@@ -142,6 +154,9 @@ def _assert_matches(g: Graph) -> bool:
         if isinstance(want, list):
             want = tuple(want)
         assert (type(new), new) == (type(want), want), (g, name)
+    # the two fields that depth replaced
+    assert old.reaches_cyclic == [d > 0 for d in scc.depth], g
+    assert old.minimal == [c and d == 1 for c, d in zip(scc.cyclic, scc.depth)], g
     try:
         cp = cycle_poset(g, max_cycles=300)
     except (InfinitelyManyCyclesError, ResourceCapError):
