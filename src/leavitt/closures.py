@@ -18,6 +18,7 @@ from .graph import (
     _address,
     _addressed_bundle,
     _as_addresses,
+    _require_graph,
     _require_int,
     classify_vertex,
     condensation,
@@ -66,6 +67,7 @@ def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:
     an edge into it, the count of that vertex's edge bundles still ending
     outside the set, and a regular vertex joins when its count reaches 0.
     """
+    _require_graph(g)
     seed_set = frozenset(g.require_vertex(v) for v in _as_vertex_set(seed))
     outside = {v: len(g._out[v]) for v, d in g._degree.items() if d != 0 and d is not OMEGA}
     closed: set[str] = set()
@@ -113,7 +115,7 @@ def enumerate_hs_sets(g: Graph, max_vertices: int = MAX_VERTICES_HS_DEFAULT) -> 
     Every branch ends in exactly one set, so the cost is O(V + E) per set.
     ``max_vertices`` caps the graph size and so the up to 2^V sets returned.
     """
-    vs = g.vertices
+    vs = _require_graph(g).vertices
     if len(vs) > _require_int(max_vertices, "the vertex cap"):
         raise ResourceCapError(
             f"{len(vs)} vertices exceeds the subset-enumeration cap {max_vertices}"

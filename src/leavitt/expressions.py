@@ -118,6 +118,8 @@ def _term(ctx: AlgebraContext, tokens: list, i: int) -> tuple[tuple | None, int]
 
 def parse_expression(src: str, ctx: AlgebraContext) -> AlgebraElement:
     """Parse and evaluate an algebra expression over the given context."""
+    if not isinstance(src, str):
+        raise ExpressionError(f"an expression is a string, not {src!r}")
     tokens = _tokenize(src)
     if not tokens:
         raise ExpressionError("empty expression")

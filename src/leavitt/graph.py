@@ -580,7 +580,7 @@ def condensation(g: Graph) -> Condensation:
     try:
         return g._scc
     except AttributeError:
-        scc = _tarjan(g)
+        scc = _tarjan(_require_graph(g))
         # a cache, not a change to the graph: a second writer stores an equal value
         object.__setattr__(g, "_scc", scc)
         return scc

@@ -221,6 +221,8 @@ def _act(ctx: AlgebraContext, x: AlgebraElement, vec: dict, step) -> dict:
     """Act with x on ``vec``; ``step(b, p.edges, q.base, q.edges)`` is the
     basis element p q* sends the basis element b to, or None for zero.  p
     and q share their range, so p always chains onto what q* leaves."""
+    if not isinstance(x, AlgebraElement):
+        raise NotSupportedError(f"expected an AlgebraElement, not {x!r}")
     if x.ctx is not ctx and x.ctx != ctx:
         raise ContextMismatchError("element belongs to a different algebra context")
     field = ctx.field

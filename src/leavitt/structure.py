@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .closures import HSSet, saturated_closure
 from .errors import InfinitelyManyCyclesError, NotSupportedError
@@ -43,7 +43,6 @@ from .graph import (
     canonical_cycle,
     condensation,
     cycle_base,
-    cycle_vertices,
 )
 
 # reason codes for finite-presentation verdicts
@@ -292,22 +291,54 @@ def fp_filtration(g: Graph) -> Filtration:
     """The ascending chain of hereditary saturated sets witnessing the
     finite-presentation property: the socle closure first, then one cycle
     without exits per step (lexicographically least in the current quotient).
+
+    The socle closure H0 is every SCC of depth 0: sinks are line points, and
+    saturation takes in each vertex that reaches no cycle.  The steps are a
+    least-first topological order of the cycles over the condensation.  Per
+    SCC outside H this keeps one count of its successor SCCs still outside
+    H; a cycle whose count is 0 has no exit in the quotient, and waits in a
+    heap by ``Cycle.sort_key``.  Each step takes the least of them, and every
+    acyclic SCC whose count then drops to 0 joins H with it by saturation.
     """
     verdict = decide_fp(g)
     if not verdict.all_finitely_presented:
         raise NotSupportedError(f"not every simple module is finitely presented: {verdict.codes()}")
     scc = condensation(g)
-    q = _Quotient(g, scc)
-    q.grow(scc.line_points)
-    chain = [HSSet(frozenset(q.vertices), scc.line_points)]
-    layers: list[Layer] = [SocleLayer(chain[0].vertices)]
-    while len(q.vertices) < len(g.vertices):
-        c = next(q.no_exit_cycles())
-        card = _entry_paths(g, scc, cycle_base(g, c))
-        cycle = cycle_vertices(g, c)
-        q.grow(cycle)
-        chain.append(HSSet(frozenset(q.vertices), chain[-1].vertices | cycle))
-        layers.append(LaurentMatrixLayer(c, card))
+    depth, members = scc.depth, scc.members
+    h = frozenset(v for i, d in enumerate(depth) if not d for v in members[i])
+    chain = [HSSet(h, scc.line_points)]
+    layers: list[Layer] = [SocleLayer(h)]
+    outside = [0] * len(depth)
+    preds: list[list[int]] = [[] for _ in depth]
+    for i, succ in enumerate(scc.successors):
+        for j in succ:
+            if depth[j]:
+                outside[i] += 1
+                preds[j].append(i)
+    ready = []  # heap of (sort key, SCC, cycle)
+
+    def push(i: int) -> None:
+        c = _scc_cycle(g, scc, i)
+        heapq.heappush(ready, (c.sort_key(), i, c))
+
+    for i, c in enumerate(scc.cyclic):
+        if c and not outside[i]:
+            push(i)
+    while ready:
+        _, i, c = heapq.heappop(ready)
+        seed = h.union(members[i])
+        joined = [i]
+        for k in joined:  # grows as acyclic SCCs join by saturation
+            for p in preds[k]:
+                outside[p] -= 1
+                if not outside[p]:
+                    if scc.cyclic[p]:
+                        push(p)
+                    else:
+                        joined.append(p)
+        h = seed.union(v for k in joined[1:] for v in members[k])
+        chain.append(HSSet(h, seed))
+        layers.append(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))))
     return Filtration(tuple(chain), tuple(layers))
 
 
@@ -533,65 +564,3 @@ def _entry_paths(g: Graph, scc: Condensation, base: str) -> Union[int, object]:
     if len(ways) < len(reach):
         return OMEGA  # a closed path avoiding the base feeds it
     return total
-
-
-class _Quotient:
-    """The quotient of a row-finite graph by a hereditary saturated set H
-    that grows step by step: :func:`fp_filtration` takes the least no-exit
-    cycle of the current quotient at each step, which needs this walk.
-
-    H is a union of whole SCCs, so the SCCs of the quotient are those of the
-    graph outside H.  Per SCC this keeps one count of the successor SCCs
-    still outside H: when it reaches 0, an SCC with no inner edge (one
-    regular vertex) joins H by saturation, and a single cycle has become a
-    no-exit cycle of the quotient, which waits in a heap by
-    ``Cycle.sort_key``.  H grows only by line points and by cycles taken
-    from the heap, so no cycle joins H while it waits.  Growing H from empty
-    to everything costs O(V + E) plus O(C log C) for the C no-exit cycles.
-    """
-
-    def __init__(self, g: Graph, scc: Condensation):
-        self.graph = g
-        self.scc = scc
-        n = len(scc.members)
-        self.vertices: set[str] = set()  # H
-        self.in_h = [False] * n
-        self.outside = [len(s) for s in scc.successors]
-        self.no_exit: list[tuple] = []  # heap of (sort key, cycle)
-        for i in range(n):
-            if scc.no_exit[i]:
-                self._push(i)
-        self.preds: list[list[int]] = [[] for _ in range(n)]
-        for i, succ in enumerate(scc.successors):
-            for j in succ:
-                self.preds[j].append(i)
-
-    def _push(self, i: int) -> None:
-        c = _scc_cycle(self.graph, self.scc, i)
-        heapq.heappush(self.no_exit, (c.sort_key(), c))
-
-    def grow(self, seed) -> None:
-        """Close H over ``seed``."""
-        scc, in_h, outside = self.scc, self.in_h, self.outside
-        comp = scc.component
-        todo = [comp[v] for v in seed]
-        while todo:
-            i = todo.pop()
-            if in_h[i]:
-                continue
-            in_h[i] = True
-            self.vertices.update(scc.members[i])
-            todo.extend(scc.successors[i])
-            for p in self.preds[i]:
-                outside[p] -= 1
-                if not outside[p] and not in_h[p]:
-                    if not scc.inner_edges[p]:
-                        todo.append(p)
-                    elif scc.single_cycle[p]:
-                        self._push(p)
-
-    def no_exit_cycles(self) -> Iterator[Cycle]:
-        """The no-exit cycles of the quotient, least first; each one yielded
-        leaves the heap."""
-        while self.no_exit:
-            yield heapq.heappop(self.no_exit)[1]

@@ -29,7 +29,11 @@ from leavitt import (
     UnknownVertexError,
     bifurcation_data,
     canonical_cycle,
+    chen_act,
     chen_basis_element,
+    condensation,
+    condition_K,
+    condition_L,
     corner_report,
     cycle_base,
     cycle_has_exit,
@@ -37,6 +41,7 @@ from leavitt import (
     cycle_vertices,
     decide_fp,
     decide_gk,
+    disjoint_cycles_criterion,
     element_from_obj,
     enumerate_basis,
     enumerate_cycles,
@@ -47,6 +52,7 @@ from leavitt import (
     hedgehog,
     hereditary_closure,
     laurent_index_cardinality,
+    line_points,
     make_path,
     normalize_monomial,
     parse_expression,
@@ -55,6 +61,8 @@ from leavitt import (
     saturated_closure,
     stream_from_obj,
     subalgebra_graph,
+    sv_act,
+    vertices_on_closed_paths,
 )
 from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, g_loop_chain, g_rose2, g_toeplitz, random_graph
 from leavitt.graph import bundle_addresses, is_regular
@@ -269,6 +277,21 @@ _WRONG_TYPES = {
     "generated_stream(rose2, g, h).edge_at('x')": lambda g, ctx: generated_stream(
         g_rose2(), Cycle(("g",)), Cycle(("h",))
     ).edge_at("x"),
+    "condensation(5)": lambda g, ctx: condensation(5),
+    "line_points(5)": lambda g, ctx: line_points(5),
+    "vertices_on_closed_paths(5)": lambda g, ctx: vertices_on_closed_paths(5),
+    "condition_L(5)": lambda g, ctx: condition_L(5),
+    "condition_K(5)": lambda g, ctx: condition_K(5),
+    "enumerate_cycles(5)": lambda g, ctx: enumerate_cycles(5),
+    "cycle_poset(5)": lambda g, ctx: cycle_poset(5),
+    "corner_report(5, 'v1')": lambda g, ctx: corner_report(5, "v1"),
+    "disjoint_cycles_criterion(5)": lambda g, ctx: disjoint_cycles_criterion(5),
+    "saturated_closure(5, [])": lambda g, ctx: saturated_closure(5, []),
+    "enumerate_hs_sets(5)": lambda g, ctx: enumerate_hs_sets(5),
+    "chen_act(ctx, 5, {})": lambda g, ctx: chen_act(ctx, 5, {}),
+    # u emits infinitely many edges, so sv_act reaches the element
+    "sv_act(ctx, 'u', 5, {})": lambda g, ctx: sv_act(AlgebraContext(g_clock_omega()), "u", 5, {}),
+    "parse_expression(5, ctx)": lambda g, ctx: parse_expression(5, ctx),
 }
 
 
@@ -464,6 +487,13 @@ _VALIDATION_ERRORS = {
         lambda g: hedgehog(g, ["v3"], ["v1"]),
         NotSupportedError,
         "s must be a subset of the breaking vertices of h",
+    ),
+    "condensation of a number": (g_toeplitz, lambda g: condensation(5), NotSupportedError, "expected a Graph, not 5"),
+    "chen_act of a number": (
+        g_toeplitz, lambda g: chen_act(AlgebraContext(g), 5, {}), NotSupportedError, "expected an AlgebraElement, not 5"
+    ),
+    "parse_expression of a number": (
+        g_toeplitz, lambda g: parse_expression(5, AlgebraContext(g)), ExpressionError, "an expression is a string, not 5"
     ),
 }
 

@@ -1,18 +1,20 @@
-"""The gk filtration read off the SCC depths, against the quotient walk it
-replaced.
+"""The gk and fp filtrations read off the condensation, against the
+quotient walk they replaced.
 
-``_oracle_gk_filtration`` and ``_Quotient`` are the earlier
-``gk_filtration`` and the count-and-heap engine it drove, kept as they were
-except for their names, this docstring, and the condensation they read:
-``_OldFields`` gives them the two derived fields they used, ``minimal`` and
-``reaches_cyclic``, computed as the earlier cached properties did, without
-``depth``.  On seeded graphs (multiplicities 1 to 3, acyclic graphs, the
-empty graph, and graphs the filtration refuses) the library must return the
-same filtration, or raise the same error with the same message.
+``_oracle_gk_filtration``, ``_oracle_fp_filtration`` and ``_Quotient`` are
+the earlier ``gk_filtration`` and ``fp_filtration`` and the count-and-heap
+engine they drove, kept as they were except for their names, this
+docstring, and the condensation the gk one reads: ``_OldFields`` gives it
+the two derived fields it used, ``minimal`` and ``reaches_cyclic``, computed
+as the earlier cached properties did, without ``depth``.  On seeded graphs
+(multiplicities 1 to 3, acyclic graphs, the empty graph, and graphs the
+filtrations refuse) the library must return the same filtration, or raise
+the same error with the same message.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from typing import Iterator
@@ -25,10 +27,13 @@ from leavitt.structure import (
     LaurentMatrixLayer,
     Layer,
     MixedLayer,
+    SocleLayer,
     VnrLayer,
     _entry_paths,
     _scc_cycle,
+    decide_fp,
     decide_gk,
+    fp_filtration,
     gk_filtration,
 )
 
@@ -108,6 +113,29 @@ def _oracle_gk_filtration(g: Graph) -> Filtration:
         # graph with no vertices at all
         chain = [HSSet(frozenset(), frozenset())]
         layers = [VnrLayer(frozenset())]
+    return Filtration(tuple(chain), tuple(layers))
+
+
+def _oracle_fp_filtration(g: Graph) -> Filtration:
+    """The ascending chain of hereditary saturated sets witnessing the
+    finite-presentation property: the socle closure first, then one cycle
+    without exits per step (lexicographically least in the current quotient).
+    """
+    verdict = decide_fp(g)
+    if not verdict.all_finitely_presented:
+        raise NotSupportedError(f"not every simple module is finitely presented: {verdict.codes()}")
+    scc = condensation(g)
+    q = _Quotient(g, scc)
+    q.grow(scc.line_points)
+    chain = [HSSet(frozenset(q.vertices), scc.line_points)]
+    layers: list[Layer] = [SocleLayer(chain[0].vertices)]
+    while len(q.vertices) < len(g.vertices):
+        c = next(q.no_exit_cycles())
+        card = _entry_paths(g, scc, cycle_base(g, c))
+        cycle = cycle_vertices(g, c)
+        q.grow(cycle)
+        chain.append(HSSet(frozenset(q.vertices), chain[-1].vertices | cycle))
+        layers.append(LaurentMatrixLayer(c, card))
     return Filtration(tuple(chain), tuple(layers))
 
 
@@ -212,11 +240,16 @@ def _random_graph(rng: random.Random) -> Graph:
     return Graph(verts, edges)
 
 
-def test_gk_filtration_matches_the_quotient_walk():
+@functools.cache
+def _graphs() -> tuple[Graph, ...]:
+    """The seeded graphs, built once for both filtrations."""
     rng = random.Random(28)
-    graphs = [Graph([], []), Graph(["v"], [])] + [_random_graph(rng) for _ in range(3000)]
+    return (Graph([], []), Graph(["v"], [])) + tuple(_random_graph(rng) for _ in range(3000))
+
+
+def test_gk_filtration_matches_the_quotient_walk():
     deep = mixed = omega = several = acyclic = refused = 0
-    for g in graphs:
+    for g in _graphs():
         old = _outcome(g, _oracle_gk_filtration)
         assert _outcome(g, gk_filtration) == old, g.edges
         if not isinstance(old, Filtration):
@@ -233,3 +266,25 @@ def test_gk_filtration_matches_the_quotient_walk():
     counts = (deep, mixed, omega, several, acyclic, refused)
     assert deep >= 300 and mixed >= 100 and omega >= 100, counts
     assert min(several, acyclic, refused) >= 100, counts
+
+
+def test_fp_filtration_matches_the_quotient_walk():
+    deep = unordered = saturated = omega = refused = 0
+    for g in _graphs():
+        old = _outcome(g, _oracle_fp_filtration)
+        assert _outcome(g, fp_filtration) == old, g.edges
+        if not isinstance(old, Filtration):
+            refused += 1
+            continue
+        steps = old.layers[1:]
+        keys = [layer.cycle.sort_key() for layer in steps]
+        deep += len(old.layers) >= 4
+        unordered += keys != sorted(keys)
+        # a vertex outside the seed H_{k-1} | cycle joins H_k by saturation
+        saturated += any(h.vertices != h.generated_from for h in old.chain[1:])
+        omega += any(layer.index_cardinality is OMEGA for layer in steps)
+    # every case is well represented: long chains, cycles taken out of
+    # ascending order (one becomes ready only after a greater one is
+    # taken), saturation at a cycle step, omega indices and refusals
+    counts = (deep, unordered, saturated, omega, refused)
+    assert min(counts) >= 300, counts
