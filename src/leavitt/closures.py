@@ -54,7 +54,7 @@ def _as_vertex_set(x) -> frozenset[str]:
 
 def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
     """Smallest forward-closed superset of ``seed``."""
-    return g.reachable(_as_vertex_set(seed))
+    return _require_graph(g).reachable(_as_vertex_set(seed))
 
 
 def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:

@@ -121,16 +121,19 @@ class Graph:
         inc: dict = {v: [] for v in vs}
         infinite = None
         for e in es:
+            eid, src, dst, mult = e
             try:
-                out[e.src].append(e)
-                inc[e.dst].append(e)
+                out[src].append(e)
+                inc[dst].append(e)
             except KeyError:
-                raise SchemaError(f"edge {e.id!r} has undeclared endpoint") from None
-            if e.mult is OMEGA and infinite is None:
-                infinite = e.id
+                raise SchemaError(f"edge {eid!r} has undeclared endpoint") from None
+            if mult is OMEGA and infinite is None:
+                infinite = eid
         # every concrete edge has one address: no edge or vertex id may also
-        # be the address of an edge of another bundle
+        # be the address of an edge of another bundle; an address ends in "]"
         for kind, xids in (("edge", by_id), ("vertex", vs)):
+            if "]" not in "".join(xids):
+                continue
             for xid in xids:
                 owner = _addressed_bundle(xid, by_id) if "]" in xid else None
                 if owner is not None:
@@ -142,8 +145,8 @@ class Graph:
         for v, bs in out.items():
             out[v] = bs = tuple(bs)
             if len(bs) == 1:
-                succ[v] = (bs[0].dst,)
-                degree[v] = bs[0].mult
+                succ[v] = (bs[0][2],)  # its dst
+                degree[v] = bs[0][3]  # its mult
             else:  # none, or two or more
                 dsts, d = set(), 0
                 for e in bs:
@@ -406,6 +409,7 @@ def _as_addresses(x, what: str) -> tuple:
 
 
 def path_range(g: Graph, p: Path) -> str:
+    _require_graph(g)
     return g.dst_of(p.edges[-1]) if p.edges else p.base
 
 
@@ -478,7 +482,7 @@ class VertexClass:
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:
     """Classify ``v`` as a sink, a regular vertex, or an infinite emitter."""
-    d = g.out_degree(v)
+    d = _require_graph(g).out_degree(v)
     if d is OMEGA:
         return VertexClass(INFINITE_EMITTER)
     if d == 0:
@@ -512,7 +516,7 @@ class TreeView:
 
 def tree(g: Graph, v: str) -> TreeView:
     """All vertices reachable from ``v``, as a complete subgraph."""
-    verts = g.reachable([v])
+    verts = _require_graph(g).reachable([v])
     induced = tuple(e for e in g.edges if e.src in verts)
     return TreeView(v, verts, induced)
 
@@ -589,50 +593,59 @@ def condensation(g: Graph) -> Condensation:
 def _tarjan(g: Graph) -> Condensation:
     """Tarjan's SCC algorithm with an explicit stack: O(V + E).
 
-    A vertex is on the stack while it has an index and no SCC yet.  When
-    its SCC is popped its index becomes ``done``, which is above every
-    low-link, so an edge into a finished SCC lowers nothing.
+    ``low`` holds each vertex met so far: its low-link while it is on the
+    stack, then ``done``, which is above every DFS number, so an edge into a
+    finished SCC lowers nothing.  An edge into a stacked vertex lowers by
+    its low-link, which is at least the DFS number of its SCC's root, so
+    the roots are those that DFS numbers find.  A frame carries its
+    vertex's DFS number; a root's SCC is the stack from it up, popped
+    without a slice when it is the root alone, and sorted otherwise.
     """
     succ_of, out = g._succ, g._out
     done = len(g.vertices)
-    index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
-    found: list[list[str]] = []  # SCCs, each after every SCC it reaches
+    found: list[tuple[str, ...]] = []  # SCCs, sorted, each after every SCC it reaches
     for root in g.vertices:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
-        # a frame: the vertex, its unread successors, its place on the stack
-        work = [(root, iter(succ_of[root]), len(stack))]
+        low[root] = num = len(low)
+        # a frame: the vertex, its unread successors, its DFS number, its place on the stack
+        work = [(root, iter(succ_of[root]), num, len(stack))]
         stack.append(root)
         while work:
-            v, succ, at = work[-1]
+            v, succ, num, at = work[-1]
             for w in succ:
-                i = index.get(w)
+                i = low.get(w)
                 if i is None:
-                    index[w] = low[w] = len(index)
-                    work.append((w, iter(succ_of[w]), len(stack)))
+                    low[w] = i = len(low)
+                    work.append((w, iter(succ_of[w]), i, len(stack)))
                     stack.append(w)
                     break
                 if i < low[v]:
                     low[v] = i
             else:
                 work.pop()
-                if work:
+                lv = low[v]
+                if lv != num:  # not an SCC root, so not the DFS root: the low-link goes up a frame
                     u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
+                    if lv < low[u]:
+                        low[u] = lv
+                elif stack[-1] == v:
+                    stack.pop()
+                    low[v] = done
+                    found.append((v,))
+                else:
                     scc = stack[at:]
                     del stack[at:]
                     for w in scc:
-                        index[w] = done
-                    found.append(scc)
+                        low[w] = done
+                    scc.sort()
+                    found.append(tuple(scc))
     found.reverse()  # now each SCC comes before every SCC it reaches
     n = len(found)
     component = {v: i for i, scc in enumerate(found) for v in scc}
-    members = tuple(tuple(scc) if len(scc) == 1 else tuple(sorted(scc)) for scc in found)
+    members = tuple(found)
     inner: list[Mult] = [0] * n
     infinite: list[str | None] = [None] * n
     branching = [False] * n
@@ -650,7 +663,7 @@ def _tarjan(g: Graph) -> Condensation:
                 infinite[i] = eid
         elif inner[i] is not OMEGA:
             inner[i] += mult
-    succs = tuple(tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in successors)
+    succs = tuple([tuple(sorted(set(s))) if len(s) > 1 else tuple(s) for s in successors])
     # the derived fields, each SCC after every SCC it reaches
     cyclic, single, no_exit = [False] * n, [False] * n, [False] * n
     r_single, r_no_exit = [False] * n, [False] * n
@@ -689,7 +702,7 @@ def _tarjan(g: Graph) -> Condensation:
         reaches_single_cycle=tuple(r_single), reaches_no_exit=tuple(r_no_exit),
         infinite_reached=tuple(reached), antisymmetric=antisymmetric,
         longest_chain=max(depth, default=0) if antisymmetric else None,
-        line_points=frozenset(v for i, b in enumerate(bad) if not b for v in members[i]),
+        line_points=frozenset([v for i, b in enumerate(bad) if not b for v in members[i]]),
     )
     return record
 
@@ -818,7 +831,7 @@ def condition_K(g: Graph) -> bool:
 def graph_to_obj(g: Graph) -> dict:
     """Serialize to the canonical JSON schema (multiplicity 1 is omitted)."""
     edges = []
-    for e in g.edges:
+    for e in _require_graph(g).edges:
         d: dict = {"id": e.id, "src": e.src, "dst": e.dst}
         if e.mult is OMEGA:
             d["mult"] = "omega"
@@ -834,8 +847,9 @@ _EDGE_KEYS = frozenset(("id", "src", "dst", "mult"))
 def graph_from_obj(obj) -> Graph:
     """Validate a JSON object against the graph schema and build the graph.
 
-    Each edge object is checked once, here, and becomes an :class:`Edge`;
-    the graph-level checks are those of :class:`Graph`.
+    Each edge object becomes an :class:`Edge`: a plain JSON edge by one
+    exact-type test, any other item key by key (:func:`_edge_record`).
+    The graph-level checks are those of :class:`Graph`.
     """
     if not isinstance(obj, dict):
         raise SchemaError("graph document must be a JSON object")
@@ -850,25 +864,40 @@ def graph_from_obj(obj) -> Graph:
         raise SchemaError('"edges" must be a list')
     built = []
     for item in edges:
-        if not isinstance(item, dict):
-            raise SchemaError("each edge must be an object")
-        if not item.keys() <= _EDGE_KEYS:
-            raise SchemaError(f"edge has unexpected keys: {sorted(item.keys() - _EDGE_KEYS)}")
-        try:
-            eid, src, dst = item["id"], item["src"], item["dst"]
-        except KeyError as k:
-            raise SchemaError(f"edge missing key {k}") from None
-        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
-            raise SchemaError("edge id/src/dst must be strings")
-        mult = item.get("mult", 1)
-        if mult == "omega":
-            mult = OMEGA
-        elif not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise SchemaError(f"edge {eid!r}: mult must be a positive integer or \"omega\"")
-        built.append(_new_edge((eid, src, dst, mult)))
+        if type(item) is dict:
+            eid, src, dst, mult = item.get("id"), item.get("src"), item.get("dst"), item.get("mult", 1)
+            # no other key: three keys, or four with "mult"
+            if (type(eid) is str and type(src) is str and type(dst) is str and type(mult) is int and mult >= 1
+                    and len(item) == (4 if "mult" in item else 3)):
+                built.append(_new_edge((eid, src, dst, mult)))
+                continue
+        built.append(_edge_record(item))
     g = object.__new__(Graph)
     g._index(_distinct_sorted(verts), built)
     return g
+
+
+def _edge_record(item) -> Edge:
+    """The :class:`Edge` of an edge object that is not a plain JSON edge:
+    its keys and values checked one by one, in order, so that the first
+    fault is the one raised.  ``"omega"`` and subclasses of dict, str and
+    int are accepted here."""
+    if not isinstance(item, dict):
+        raise SchemaError("each edge must be an object")
+    if not item.keys() <= _EDGE_KEYS:
+        raise SchemaError(f"edge has unexpected keys: {sorted(item.keys() - _EDGE_KEYS)}")
+    try:
+        eid, src, dst = item["id"], item["src"], item["dst"]
+    except KeyError as k:
+        raise SchemaError(f"edge missing key {k}") from None
+    if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
+        raise SchemaError("edge id/src/dst must be strings")
+    mult = item.get("mult", 1)
+    if mult == "omega":
+        mult = OMEGA
+    elif not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+        raise SchemaError(f"edge {eid!r}: mult must be a positive integer or \"omega\"")
+    return _new_edge((eid, src, dst, mult))
 
 
 def graph_to_json(g: Graph) -> str:

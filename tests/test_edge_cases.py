@@ -31,6 +31,7 @@ from leavitt import (
     canonical_cycle,
     chen_act,
     chen_basis_element,
+    classify_vertex,
     condensation,
     condition_K,
     condition_L,
@@ -48,6 +49,8 @@ from leavitt import (
     enumerate_hs_sets,
     generated_stream,
     graph_from_json,
+    graph_to_json,
+    graph_to_obj,
     growth_profile,
     hedgehog,
     hereditary_closure,
@@ -56,12 +59,14 @@ from leavitt import (
     make_path,
     normalize_monomial,
     parse_expression,
+    path_range,
     periodic_stream,
     quotient,
     saturated_closure,
     stream_from_obj,
     subalgebra_graph,
     sv_act,
+    tree,
     vertices_on_closed_paths,
 )
 from leavitt.fixtures import add_edges, g_clock_omega, g_line, g_loop, g_loop_chain, g_rose2, g_toeplitz, random_graph
@@ -292,6 +297,12 @@ _WRONG_TYPES = {
     # u emits infinitely many edges, so sv_act reaches the element
     "sv_act(ctx, 'u', 5, {})": lambda g, ctx: sv_act(AlgebraContext(g_clock_omega()), "u", 5, {}),
     "parse_expression(5, ctx)": lambda g, ctx: parse_expression(5, ctx),
+    "hereditary_closure(5, [])": lambda g, ctx: hereditary_closure(5, []),
+    "classify_vertex(5, 'v1')": lambda g, ctx: classify_vertex(5, "v1"),
+    "tree(5, 'v1')": lambda g, ctx: tree(5, "v1"),
+    "path_range(5, Path('v1', ('e',)))": lambda g, ctx: path_range(5, Path("v1", ("e",))),
+    "graph_to_obj(5)": lambda g, ctx: graph_to_obj(5),
+    "graph_to_json(5)": lambda g, ctx: graph_to_json(5),
 }
 
 
@@ -495,6 +506,18 @@ _VALIDATION_ERRORS = {
     "parse_expression of a number": (
         g_toeplitz, lambda g: parse_expression(5, AlgebraContext(g)), ExpressionError, "an expression is a string, not 5"
     ),
+    "hereditary_closure of a number": (
+        g_toeplitz, lambda g: hereditary_closure(5, []), NotSupportedError, "expected a Graph, not 5"
+    ),
+    "classify_vertex of a number": (
+        g_toeplitz, lambda g: classify_vertex(5, "v1"), NotSupportedError, "expected a Graph, not 5"
+    ),
+    "tree of a number": (g_toeplitz, lambda g: tree(5, "v1"), NotSupportedError, "expected a Graph, not 5"),
+    "path_range of a number": (
+        g_toeplitz, lambda g: path_range(5, Path("v1", ("e",))), NotSupportedError, "expected a Graph, not 5"
+    ),
+    "graph_to_obj of a number": (g_toeplitz, lambda g: graph_to_obj(5), NotSupportedError, "expected a Graph, not 5"),
+    "graph_to_json of a number": (g_toeplitz, lambda g: graph_to_json(5), NotSupportedError, "expected a Graph, not 5"),
 }
 
 

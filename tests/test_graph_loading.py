@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import OrderedDict
 from dataclasses import fields
+from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable
 
@@ -332,6 +334,74 @@ def test_condensations_match_the_oracle_on_larger_graphs():
         old = _oracle_graph_from_obj(doc)
         assert g._succ == old._succ
         assert _base(condensation(g)) == _oracle_tarjan(old)
+
+
+class _Id(str):
+    """An id of a str subclass."""
+
+
+class _Count(int):
+    """A multiplicity of an int subclass."""
+
+
+class _Mult(IntEnum):
+    TWO = 2
+
+
+def _edge(**changes) -> dict:
+    return {"id": "e", "src": "a", "dst": "b", **changes}
+
+
+# edge objects that are not plain JSON edges, valid and invalid: each is
+# checked key by key, in the order of the oracle
+_ODD_EDGES_IN_DOCUMENTS = [
+    OrderedDict(id="e", src="a", dst="b", mult=2),
+    OrderedDict(id="e", src="a", dst="b", weight=1),
+    _edge(id=_Id("e"), dst=_Id("b")),
+    _edge(src=_Id("a"), mult=_Id("omega")),
+    _edge(mult=_Count(3)),
+    _edge(mult=_Mult.TWO),
+    _edge(mult=1),
+    _edge(mult="omega"),
+    _edge(mult=True),
+    _edge(mult=False),
+    _edge(mult=0),
+    _edge(mult=-2),
+    _edge(mult=2.0),
+    _edge(mult=None),
+    _edge(mult="Omega"),
+    _edge(weight=1),
+    _edge(mult=1, weight=1),
+    _edge(mult=True, weight=1),
+    {"id": "e", "src": "a", "weight": 1},
+    {"id": "e", "src": "a"},
+    {"src": "a", "dst": "b", "mult": 2},
+    _edge(id=7),
+    _edge(dst=None, mult=True),
+    ["e", "a", "b"],
+    None,
+]
+
+
+def test_edge_objects_off_the_exact_type_test_load_as_before():
+    valid = invalid = 0
+    for item in _ODD_EDGES_IN_DOCUMENTS:
+        # a plain edge on each side, so both kinds meet in one document
+        plain = [{"id": "p", "src": "a", "dst": "a"}, {"id": "q", "src": "b", "dst": "a", "mult": 2}]
+        doc = {"vertices": ["a", "b"], "edges": [plain[0], item, plain[1]]}
+        g, err = _load(graph_from_obj, doc)
+        old, old_err = _load(_oracle_graph_from_obj, doc)
+        assert err == old_err, item
+        if err is not None:
+            invalid += 1
+            continue
+        valid += 1
+        assert g.vertices == old.vertices and g.edges == old.edges, item
+        # the same types too: an accepted subclass is kept as it was given
+        assert [tuple(map(type, e)) for e in g.edges] == [tuple(map(type, e)) for e in old.edges], item
+        assert all(type(e) is Edge for e in g.edges), item
+        assert _base(condensation(g)) == _oracle_tarjan(old), item
+    assert (valid, invalid) == (7, 18)
 
 
 # ---------------------------------------------------------------------------
