@@ -10,10 +10,12 @@ Every answer is read off the strongly connected components (SCCs) of the
 graph, in time linear in the size of the graph: the
 :class:`~leavitt.graph.Condensation` that :func:`~leavitt.graph.condensation`
 keeps with each graph holds the per-SCC facts, derived in one pass when it
-is built, so asking many questions about one graph costs one analysis.  Two
-cycles reach each other exactly when they lie in the same SCC, so the
-pre-order is antisymmetric exactly when every SCC on a closed path is a
-single simple cycle, that is, has as many inner edges as vertices.  Only
+is built, so asking many questions about one graph costs one analysis.  A
+filtration adds one forward pass over the SCCs that counts every Laurent
+index, so it costs O(V + E) plus the size of its chain.  Two cycles reach
+each other exactly when they lie in the same SCC, so the pre-order is
+antisymmetric exactly when every SCC on a closed path is a single simple
+cycle, that is, has as many inner edges as vertices.  Only
 :func:`cycle_poset` lists cycles, and only it is capped; it builds the
 reachability bitsets of the pre-order itself, as they take O(S²) bits for S
 SCCs where the condensation holds O(V + E) facts.
@@ -279,12 +281,14 @@ def laurent_index_cardinality(g: Graph, c: Cycle) -> Union[int, object]:
     """Size of the matrix ring realized by the ideal of a no-exit cycle.
 
     Counts the paths ending at the cycle's canonical base that touch the base
-    only at their end (the length-0 path included); the count is OMEGA as
-    soon as a cycle other than ``c`` reaches the base.  ``c`` is checked
-    to be a closed simple edge sequence of ``g`` first.
+    only at their end (the length-0 path included); the count is OMEGA when
+    a cyclic SCC other than the base's, an ``omega`` bundle, or a closed
+    path avoiding the base feeds the base.  ``c`` is checked to be a closed
+    simple edge sequence of ``g`` first.
     """
     base = cycle_base(g, canonical_cycle(g, _require_cycle(c).edges))
-    return _entry_paths(g, condensation(g), base)
+    scc = condensation(g)
+    return _laurent_index(g, scc, _entry_counts(g, scc), base)
 
 
 def fp_filtration(g: Graph) -> Filtration:
@@ -304,7 +308,7 @@ def fp_filtration(g: Graph) -> Filtration:
     if not verdict.all_finitely_presented:
         raise NotSupportedError(f"not every simple module is finitely presented: {verdict.codes()}")
     scc = condensation(g)
-    depth, members = scc.depth, scc.members
+    depth, members, entry = scc.depth, scc.members, _entry_counts(g, scc)
     h = frozenset(v for i, d in enumerate(depth) if not d for v in members[i])
     chain = [HSSet(h, scc.line_points)]
     layers: list[Layer] = [SocleLayer(h)]
@@ -338,7 +342,7 @@ def fp_filtration(g: Graph) -> Filtration:
                         joined.append(p)
         h = seed.union(v for k in joined[1:] for v in members[k])
         chain.append(HSSet(h, seed))
-        layers.append(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))))
+        layers.append(LaurentMatrixLayer(c, _laurent_index(g, scc, entry, cycle_base(g, c))))
     return Filtration(tuple(chain), tuple(layers))
 
 
@@ -359,7 +363,7 @@ def gk_filtration(g: Graph) -> Filtration:
     if not g.is_row_finite():
         raise NotSupportedError("filtrations require a row-finite graph")
     scc = condensation(g)
-    comp, members = scc.component, scc.members
+    comp, members, entry = scc.component, scc.members, _entry_counts(g, scc)
     # the SCCs per depth; an acyclic graph, or one with no vertices, takes one step
     by_depth: list[list[int]] = [[] for _ in range(max([1, *scc.depth]) + 1)]
     for i, d in enumerate(scc.depth):
@@ -375,13 +379,11 @@ def gk_filtration(g: Graph) -> Filtration:
     for level in by_depth[1:]:
         cyclic = [i for i in level if scc.cyclic[i]]
         cycles = sorted((_scc_cycle(g, scc, i) for i in cyclic), key=Cycle.sort_key)
-        laurent = tuple(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))) for c in cycles)
-        if acyclic and laurent:
-            layer: Layer = MixedLayer(acyclic, laurent)
-        elif len(laurent) == 1:
-            layer = laurent[0]
+        laurent = tuple(LaurentMatrixLayer(c, _laurent_index(g, scc, entry, cycle_base(g, c))) for c in cycles)
+        if len(laurent) == 1 and not acyclic:
+            layer: Layer = laurent[0]
         elif laurent:
-            layer = MixedLayer(frozenset(), laurent)
+            layer = MixedLayer(acyclic, laurent)
         else:
             layer = VnrLayer(acyclic)
         seed = h | acyclic | {v for i in cyclic for v in members[i]}
@@ -519,48 +521,46 @@ def _closed_by_return(g: Graph, scc: Condensation, u: str, address: str, w: str,
     return _rotated([address] + back[::-1])
 
 
-def _entry_paths(g: Graph, scc: Condensation, base: str) -> Union[int, object]:
-    """The paths that end at ``base`` and touch it only there, counted
-    (OMEGA when there are infinitely many).
-
-    One reverse search collects the vertices that reach the base, then the
-    paths are counted in topological order; a closed path among those
-    vertices, or an infinite bundle between them, makes the count OMEGA.
-    """
+def _entry_counts(g: Graph, scc: Condensation) -> dict[str, Union[int, object]]:
+    """Per vertex v that reaches a cycle (no other feeds a base), the paths
+    that end at v and meet its SCC only there, by one pass over the SCCs in
+    topological order: 1 plus each bundle into v from outside its SCC times
+    the paths ending at its source, and OMEGA if either factor is infinite."""
     comp = scc.component
-    home = comp[base]
-    reach = {base}
-    todo = [base]
-    while todo:
-        for e in g.in_bundles(todo.pop()):
-            s = e.src
-            if s in reach:
-                continue
-            if comp[s] != home and scc.cyclic[comp[s]]:
-                return OMEGA  # another cycle feeds the base
-            reach.add(s)
-            todo.append(s)
-    pending = {}  # per vertex: bundles into reach - {base} not yet counted
-    for v in reach - {base}:
-        pending[v] = 0
-        for e in g.out_bundles(v):
-            if e.dst in reach:
+    entry: dict[str, Union[int, object]] = {}
+    for i, vs in enumerate(scc.members):
+        for v in vs if scc.depth[i] else ():
+            n = 1
+            for e in g._in[v]:
+                if comp[e.src] != i:
+                    if e.mult is OMEGA or scc.cyclic[comp[e.src]] or entry[e.src] is OMEGA:
+                        n = OMEGA
+                        break
+                    n += e.mult * entry[e.src]
+            entry[v] = n
+    return entry
+
+
+def _laurent_index(g: Graph, scc: Condensation, entry: dict, base: str) -> Union[int, object]:
+    """The paths that end at ``base`` and touch it only there, counted
+    (OMEGA when there are infinitely many).  Such a path enters the base's
+    SCC once, at w, and stays inside it: with the base's out-edges cut,
+    ``entry[w]`` is carried through the SCC in topological order to the
+    base, and a closed path that avoids the base leaves it unreached."""
+    comp, home = scc.component, scc.component[base]
+    ways = {w: entry[w] for w in scc.members[home]}
+    if OMEGA in ways.values():
+        return OMEGA
+    pending = {w: sum(comp[e.src] == home and e.src != base for e in g._in[w]) for w in ways}
+    ready = [w for w in ways if not pending[w]]
+    while ready:
+        w = ready.pop()
+        for e in g._out[w] if w != base else ():
+            if comp[e.dst] == home:
                 if e.mult is OMEGA:
                     return OMEGA
-                if e.dst != base:
-                    pending[v] += 1
-    ways = {base: 1}
-    total = 1  # the length-0 path at the base
-    ready = [v for v, k in pending.items() if k == 0]
-    while ready:
-        v = ready.pop()
-        ways[v] = n = sum(e.mult * ways[e.dst] for e in g.out_bundles(v) if e.dst in reach)
-        total += n
-        for e in g.in_bundles(v):
-            if e.src in pending:
-                pending[e.src] -= 1
-                if pending[e.src] == 0:
-                    ready.append(e.src)
-    if len(ways) < len(reach):
-        return OMEGA  # a closed path avoiding the base feeds it
-    return total
+                ways[e.dst] += e.mult * ways[w]
+                pending[e.dst] -= 1
+                if not pending[e.dst]:
+                    ready.append(e.dst)
+    return OMEGA if pending[base] else ways[base]

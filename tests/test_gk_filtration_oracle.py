@@ -29,13 +29,13 @@ from leavitt.structure import (
     MixedLayer,
     SocleLayer,
     VnrLayer,
-    _entry_paths,
     _scc_cycle,
     decide_fp,
     decide_gk,
     fp_filtration,
     gk_filtration,
 )
+from test_laurent_index_oracle import _entry_paths
 
 
 class _OldFields:

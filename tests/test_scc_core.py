@@ -225,6 +225,25 @@ def test_fp_filtration_builds_each_no_exit_cycle_once(monkeypatch):
     assert filt.chain[-1].vertices == frozenset(g.vertices)
 
 
+def test_filtrations_count_every_laurent_index_of_a_fan_in_one_pass():
+    # a chain of n vertices whose last vertex feeds n loops: each loop's base
+    # is entered by the n paths that end at the last chain vertex, and by
+    # the length-0 path at the base itself
+    n = 1000
+    chain = [f"a{i:04}" for i in range(n)]
+    loops = [f"w{k:04}" for k in range(n)]
+    edges = [Edge(f"e{i:04}", chain[i], chain[i + 1]) for i in range(n - 1)]
+    edges += [Edge(f"f{k:04}", chain[-1], w) for k, w in enumerate(loops)]
+    edges += [Edge(f"c{k:04}", w, w) for k, w in enumerate(loops)]
+    g = Graph(chain + loops, edges)
+    start = time.perf_counter()
+    fp, gk = fp_filtration(g), gk_filtration(g)
+    assert time.perf_counter() - start < 1.0
+    assert [layer.index_cardinality for layer in fp.layers[1:]] == [n + 1] * n
+    (layer,) = gk.layers
+    assert [part.index_cardinality for part in layer.laurent] == [n + 1] * n
+
+
 def test_gk_filtration_of_the_empty_graph():
     filt = gk_filtration(Graph([], []))
     assert filt.to_obj() == {"chain": [[]], "layers": [{"kind": "vnr", "vertices": []}]}

@@ -418,8 +418,9 @@ def laurent_index_cardinality(g: Graph, c: Cycle) -> Union[int, object]:
     """Size of the matrix ring realized by the ideal of a no-exit cycle.
 
     Counts the paths ending at the cycle's canonical base that touch the base
-    only at their end (the length-0 path included); the count is OMEGA as
-    soon as a cycle other than ``c`` reaches the base.
+    only at their end (the length-0 path included); the count is OMEGA when
+    a cyclic SCC other than the base's, an ``omega`` bundle, or a closed
+    path avoiding the base feeds the base.
     """
     base = cycle_base(g, c)
     # paths visiting base once = paths ending at base avoiding base's out-edges

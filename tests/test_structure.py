@@ -197,6 +197,19 @@ def test_laurent_cardinality_counts_entry_paths():
     assert laurent_index_cardinality(head, loop) == 2
     (bare,) = enumerate_cycles(g_loop())
     assert laurent_index_cardinality(g_loop(), bare) == 1
+    # SCCs that are not a single cycle: the loop h reaches g's base, yet
+    # every path into the base touches it only at its end
+    assert [laurent_index_cardinality(g_rose2(), c) for c in enumerate_cycles(g_rose2())] == [1, 1]
+    # a <-> b (x, y) with a loop l at a: both bases see a and b -y-> a
+    pair = Graph(["a", "b"], [Edge("x", "a", "b"), Edge("y", "b", "a"), Edge("l", "a", "a")])
+    assert [laurent_index_cardinality(pair, c) for c in enumerate_cycles(pair)] == [2, 2]
+    # the loop at b, and u -f(2)-> a: l counts the paths b, x, f[0] x and
+    # f[1] x; with x cut, the loop l avoids the base a of (x, y)
+    pair = Graph(["a", "b", "u"], [Edge("x", "a", "b"), Edge("y", "b", "a"), Edge("l", "b", "b"), Edge("f", "u", "a", 2)])
+    assert [(c.edges, laurent_index_cardinality(pair, c)) for c in enumerate_cycles(pair)] == [
+        (("l",), 4),
+        (("x", "y"), OMEGA),
+    ]
 
 
 def test_gk_filtration_fixtures():
