@@ -88,11 +88,13 @@ def saturated_closure(g: Graph, seed: Iterable[str]) -> HSSet:
 
 
 def is_hereditary(g: Graph, vs: Iterable[str]) -> bool:
+    _require_graph(g)
     vset = _as_vertex_set(vs)
     return all(e.dst in vset for e in g.edges if e.src in vset)
 
 
 def is_saturated(g: Graph, vs: Iterable[str]) -> bool:
+    _require_graph(g)
     vset = _as_vertex_set(vs)
     for v in g.vertices:
         if v in vset or not is_regular(g, v):
@@ -147,6 +149,7 @@ def enumerate_hs_sets(g: Graph, max_vertices: int = MAX_VERTICES_HS_DEFAULT) -> 
 def breaking_vertices(g: Graph, h: Iterable[str]) -> frozenset[str]:
     """Infinite emitters with finitely many, but at least one, edges into the
     complement of ``h``."""
+    _require_graph(g)
     hset = _as_vertex_set(h)
     out = set()
     for v in g.vertices:
@@ -167,6 +170,7 @@ def breaking_vertices(g: Graph, h: Iterable[str]) -> frozenset[str]:
 
 
 def _validate_hs(g: Graph, h: Iterable[str]) -> frozenset[str]:
+    _require_graph(g)
     hset = frozenset(g.require_vertex(v) for v in _as_vertex_set(h))
     if not is_hereditary(g, hset):
         raise NotSupportedError("vertex set is not hereditary")
@@ -328,6 +332,7 @@ def hedgehog(
     its path.  If infinitely many such paths exist the result is truncated at
     ``depth_bound`` and flagged incomplete.
     """
+    _require_graph(g)
     if _require_int(depth_bound, "depth_bound") < 1:
         raise NotSupportedError("depth_bound must be >= 1")
     hset = frozenset(g.require_vertex(v) for v in _as_vertex_set(h))
@@ -379,6 +384,7 @@ def subalgebra_graph(g: Graph, addresses: Iterable[str]) -> Graph:
     sources.  There is an edge (e, y) whenever e ends where y starts (a vertex
     y starts at itself).
     """
+    _require_graph(g)
     edge_of = {a: g.resolve(a) for a in _as_addresses(addresses, "an edge set")}
     f = sorted(edge_of)
     chosen = Counter(e.id for e in edge_of.values())  # each concrete edge has one address

@@ -381,6 +381,7 @@ class Path:
 
 def make_path(g: Graph, edges: Iterable[str], base: str | None = None) -> Path:
     """Build a validated path from concrete edge addresses (vertex path if empty)."""
+    _require_graph(g)
     edges = _as_addresses(edges, "a path")
     if not edges:
         if base is None:
@@ -446,12 +447,14 @@ def _rotated(edges: Sequence[str]) -> Cycle:
 
 
 def cycle_base(g: Graph, c: Cycle) -> str:
+    _require_graph(g)
     if not _require_cycle(c).edges:
         raise NotSupportedError("a cycle has at least one edge")
     return g.src_of(c.edges[0])
 
 
 def cycle_vertices(g: Graph, c: Cycle) -> frozenset[str]:
+    _require_graph(g)
     return frozenset(g.src_of(a) for a in _require_cycle(c).edges)
 
 

@@ -20,6 +20,7 @@ from .graph import (
     Graph,
     Path,
     _require_cycle,
+    _require_graph,
     _require_int,
     canonical_cycle,
     cycle_base,
@@ -123,6 +124,7 @@ def periodic_stream(g: Graph, period_edges, prefix_edges=()) -> PeriodicPath:
 
 def generated_stream(g: Graph, first: Cycle, second: Cycle, base: str | None = None) -> GeneratedStream:
     """Interleaved stream of two distinct cycles through a shared base vertex."""
+    _require_graph(g)
     if _require_cycle(first) == _require_cycle(second):
         raise NotSupportedError("the two cycles must be distinct")
     verts1 = {g.src_of(a): i for i, a in enumerate(first.edges)}

@@ -4,9 +4,9 @@ the one derivation pass replaced.
 ``_CachedCondensation`` holds the six fields that ``_tarjan`` fills and the
 earlier ``reaches`` helper and twelve ``cached_property`` bodies, kept as
 they were except for the class name and docstring, and a ``depth`` property,
-the ``longest_chain`` pass without its maximum.  On seeded graphs (with
-multi-edges, omega bundles, cycle pre-orders that fail antisymmetry, and no
-vertices at all) and on a long line and a long ring, every derived field of
+the ``longest_chain`` pass without its maximum.  On every corpus graph
+(multi-edges, omega bundles, cycle pre-orders that fail antisymmetry, the
+empty graph) and on a long line and a long ring, every derived field of
 ``condensation(g)`` must equal the oracle's property, and the reachability
 bitsets of ``cycle_poset(g)`` its ``reach``.  The oracle's ``reaches_cyclic``
 and ``minimal``, which the condensation no longer keeps, must read
@@ -15,15 +15,16 @@ and ``minimal``, which the condensation no longer keeps, must read
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from leavitt.errors import InfinitelyManyCyclesError, ResourceCapError
 from leavitt.fixtures import g_line
-from leavitt.graph import OMEGA, Condensation, Edge, Graph, Mult, condensation
+from leavitt.graph import Condensation, Graph, Mult, condensation
 from leavitt.structure import cycle_poset
+
+from corpus import GRAPHS, ring
 
 
 @dataclass(frozen=True)
@@ -165,27 +166,9 @@ def _assert_matches(g: Graph) -> bool:
     return True
 
 
-def _random_graph(rng: random.Random) -> Graph:
-    """Up to 9 vertices (0 among them): sparse graphs whose edges mostly run
-    forward, so many cycle pre-orders are antisymmetric, and denser ones;
-    multiplicities up to 3 and omega."""
-    n = rng.randint(0, 9)
-    verts = [f"v{i}" for i in range(n)]
-    edges = []
-    back = rng.choice([0.0, 0.1, 0.3, 0.6])
-    for k in range(rng.randint(0, 2 * n) if n else 0):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i > j and rng.random() >= back:
-            i, j = j, i
-        edges.append(Edge(f"e{k}", verts[i], verts[j], rng.choice([1, 1, 1, 1, 2, 3, OMEGA])))
-    return Graph(verts, edges)
-
-
 def test_derived_fields_match_the_cached_properties():
-    rng = random.Random(18)
     posets = antisymmetric = not_antisymmetric = omega = 0
-    for _ in range(2400):
-        g = _random_graph(rng)
+    for g in GRAPHS:
         posets += _assert_matches(g)
         scc = condensation(g)
         antisymmetric += scc.antisymmetric and any(scc.cyclic)
@@ -198,7 +181,5 @@ def test_derived_fields_match_the_cached_properties():
 
 
 def test_derived_fields_match_on_a_long_line_and_a_long_ring():
-    n = 1200
-    ring = Graph([f"r{i}" for i in range(n)], [Edge(f"e{i}", f"r{i}", f"r{(i + 1) % n}") for i in range(n)])
-    for g in (g_line(400), ring):
+    for g in (g_line(400), ring(1200)):
         assert _assert_matches(g)

@@ -5,15 +5,14 @@ was except for its name: it looked each step's bundles up with
 ``out_bundles``, built a :class:`Cycle` per rotation and sorted the cycles
 by ``Cycle.sort_key``.  ``_oracle_components`` is the mapping the earlier
 ``cycle_poset`` made, one ``cycle_base`` (and so one ``Graph.resolve``) per
-cycle.  On seeded graphs with parallel bundles, SCCs holding several cycles
-and infinite bundles off every closed path, the library must list the same
-cycles in the same order (or raise the same error), and the poset must put
-each cycle in the same SCC.
+cycle.  On every corpus graph (parallel bundles, SCCs holding several
+cycles, infinite bundles on and off closed paths, more cycles than the cap
+of 400), the library must list the same cycles in the same order (or raise
+the same error), and the poset must put each cycle in the same SCC.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import product
 from math import prod
 
@@ -31,6 +30,8 @@ from leavitt.graph import (
     enumerate_cycles,
 )
 from leavitt.structure import cycle_poset
+
+from corpus import GRAPHS
 
 
 def _oracle_enumerate_cycles(g: Graph, max_cycles: int = MAX_CYCLES_DEFAULT) -> list[Cycle]:
@@ -96,32 +97,9 @@ def _oracle_components(g: Graph, cycles) -> tuple[int, ...]:
     return tuple(scc.component[cycle_base(g, c)] for c in cycles)
 
 
-def _graph(rng: random.Random) -> Graph:
-    """2 to 7 vertices with random bundles of multiplicity 1 to 3 (dense
-    ones make SCCs with several cycles, and loops and two-way pairs are
-    likely), and up to two infinite bundles into sinks of their own, off
-    every closed path; one graph in ten also has an infinite bundle between
-    two of the first vertices, which may lie on one.  The ids sort in an
-    order that is not the order in which the bundles were drawn."""
-    n = rng.randint(2, 7)
-    verts = [f"v{i}" for i in range(n)]
-    edges = []
-    for k in range(rng.randint(n, 3 * n)):
-        src, dst = rng.choice(verts), rng.choice(verts)
-        edges.append((rng.choice(["e", "a", "z"]) + str(k), src, dst, rng.choice([1, 1, 1, 2, 3])))
-    sinks = [f"s{i}" for i in range(rng.randint(0, 2))]
-    for k, s in enumerate(sinks):
-        edges.append((f"w{k}", rng.choice(verts), s, OMEGA))
-    if rng.random() < 0.1:  # one that may lie on a closed path
-        edges.append(("x", rng.choice(verts), rng.choice(verts), OMEGA))
-    return Graph(verts + sinks, edges)
-
-
 def test_cycles_and_their_sccs_match_the_oracle():
-    rng = random.Random(25)
     several = multi = infinite = capped = unbounded = 0
-    for _ in range(1500):
-        g = _graph(rng)
+    for g in GRAPHS:
         try:
             want = _oracle_enumerate_cycles(g, max_cycles=400)
         except LeavittError as exc:

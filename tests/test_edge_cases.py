@@ -28,6 +28,7 @@ from leavitt import (
     UnknownEdgeError,
     UnknownVertexError,
     bifurcation_data,
+    breaking_vertices,
     canonical_cycle,
     chen_act,
     chen_basis_element,
@@ -54,6 +55,8 @@ from leavitt import (
     growth_profile,
     hedgehog,
     hereditary_closure,
+    is_hereditary,
+    is_saturated,
     laurent_index_cardinality,
     line_points,
     make_path,
@@ -303,6 +306,21 @@ _WRONG_TYPES = {
     "path_range(5, Path('v1', ('e',)))": lambda g, ctx: path_range(5, Path("v1", ("e",))),
     "graph_to_obj(5)": lambda g, ctx: graph_to_obj(5),
     "graph_to_json(5)": lambda g, ctx: graph_to_json(5),
+    "make_path(5, ['c'])": lambda g, ctx: make_path(5, ["c"]),
+    "canonical_cycle(5, ['c'])": lambda g, ctx: canonical_cycle(5, ["c"]),
+    "cycle_base(5, Cycle(('c',)))": lambda g, ctx: cycle_base(5, Cycle(("c",))),
+    "cycle_vertices(5, Cycle(('c',)))": lambda g, ctx: cycle_vertices(5, Cycle(("c",))),
+    "cycle_has_exit(5, Cycle(('c',)))": lambda g, ctx: cycle_has_exit(5, Cycle(("c",))),
+    "laurent_index_cardinality(5, Cycle(('c',)))": lambda g, ctx: laurent_index_cardinality(5, Cycle(("c",))),
+    "is_hereditary(5, ['v2'])": lambda g, ctx: is_hereditary(5, ["v2"]),
+    "is_saturated(5, ['v2'])": lambda g, ctx: is_saturated(5, ["v2"]),
+    "breaking_vertices(5, ['v2'])": lambda g, ctx: breaking_vertices(5, ["v2"]),
+    "quotient(5, ['v2'])": lambda g, ctx: quotient(5, ["v2"]),
+    "hedgehog(5, ['v2'])": lambda g, ctx: hedgehog(5, ["v2"]),
+    "subalgebra_graph(5, ['c'])": lambda g, ctx: subalgebra_graph(5, ["c"]),
+    "periodic_stream(5, ['c'])": lambda g, ctx: periodic_stream(5, ["c"]),
+    "generated_stream(5, g, h)": lambda g, ctx: generated_stream(5, Cycle(("g",)), Cycle(("h",))),
+    "stream_from_obj(5, periodic c)": lambda g, ctx: stream_from_obj(5, {"kind": "periodic", "period": ["c"]}),
 }
 
 

@@ -5,13 +5,15 @@ Everything between the markers below is the library's code from before,
 copied verbatim: the constructor kept the term map as given, and sums,
 negation, scaling, degree components and serialization worked on it with
 field arithmetic.  The tests at the end compare the library with it on
-seeded random elements over three fields, with parallel and infinite
-bundles; ``to_obj`` must be equal as lists and ``terms`` equal including
+seeded random elements over three fields, on the corpus graphs of 2 to 4
+vertices and two or more (parallel, infinite) bundles; ``to_obj`` must be
+equal as lists and ``terms`` equal including
 coefficient types.  They also check that the flat state is canonical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -20,12 +22,13 @@ from fractions import Fraction
 from typing import Mapping
 
 import leavitt
-from leavitt import OMEGA, AlgebraContext, Edge, Graph, Monomial, Path, PrimeField, RATIONALS
+from leavitt import AlgebraContext, Edge, Graph, Monomial, Path, RATIONALS
 from leavitt.algebra import Rationals, _from_terms
 from leavitt.errors import ContextMismatchError
 from leavitt.expressions import parse_expression
-from leavitt.graph import bundle_addresses, is_regular, path_range
+from leavitt.graph import bundle_addresses, path_range
 
+from corpus import context, sized
 from test_product_oracles import multiply as pair_loop_multiply
 
 # --- verbatim copy of the old library code ----------------------------------
@@ -114,28 +117,6 @@ def _comprehension_reduce(self, acc: dict, d: int) -> tuple[dict, int]:
 
 # --- end of the verbatim copy of reduce -------------------------------------
 
-FIELDS = (RATIONALS, PrimeField(7), PrimeField(101))
-
-
-def _graph(rng: random.Random) -> Graph:
-    """2-4 vertices with loops, bundles of multiplicity 1-3 and infinite ones."""
-    verts = [f"v{i}" for i in range(rng.randint(2, 4))]
-    edges = [
-        Edge(f"e{k}", rng.choice(verts), rng.choice(verts), rng.choice((1, 1, 2, 3, OMEGA)))
-        for k in range(rng.randint(2, 6))
-    ]
-    return Graph(verts, edges)
-
-
-def _context(rng: random.Random, g: Graph) -> AlgebraContext:
-    special = {}
-    if rng.random() < 0.5:
-        for v in g.vertices:
-            if is_regular(g, v) and rng.random() < 0.7:
-                special[v] = rng.choice(g.concrete_out(v))
-    return AlgebraContext(g, rng.choice(FIELDS), special_edges=special)
-
-
 def _path(rng: random.Random, g: Graph, v: str) -> Path:
     base, edges = v, []
     for _ in range(rng.randint(0, 3)):
@@ -202,10 +183,11 @@ def _assert_canonical(x: leavitt.AlgebraElement) -> None:
 
 def test_operations_match_the_monomial_maps():
     rng = random.Random(6006)
+    graphs = itertools.cycle(sized(2, 4, 2))
     kinds: set[str] = set()
     elements = 0
     while elements < 1200:
-        ctx = _context(rng, _graph(rng))
+        ctx = context(rng, next(graphs))
         kinds |= {repr(ctx.field)} | {f"mult={e.mult}" for e in ctx.graph.edges}
         prev = None
         for _ in range(6):
@@ -233,8 +215,8 @@ def test_operations_match_the_monomial_maps():
 
 def test_equal_elements_have_equal_states():
     rng = random.Random(4711)
-    for _ in range(200):
-        ctx = _context(rng, _graph(rng))
+    for g in sized(2, 4, 2)[:200]:
+        ctx = context(rng, g)
         x, _ = _element(rng, ctx)
         y, _ = _element(rng, ctx)
         third = ctx.field.coerce("1/3")
@@ -283,8 +265,10 @@ def _q_element(rng: random.Random, ctx: AlgebraContext) -> leavitt.AlgebraElemen
 
 
 def _cancelling(rng: random.Random, x: leavitt.AlgebraElement) -> leavitt.AlgebraElement:
-    """Minus a nonempty part of ``x``'s terms."""
+    """Minus a nonempty part of ``x``'s terms (``x`` itself when it is 0)."""
     terms = list(x.terms.items())
+    if not terms:
+        return x
     return leavitt.AlgebraElement(x.ctx, {m: -c for m, c in rng.sample(terms, rng.randint(1, len(terms)))})
 
 
@@ -305,10 +289,11 @@ def test_reduce_builds_the_canonical_form_of_the_comprehensions(monkeypatch):
             events[op, "factor"] += 1
         return flat, den
 
+    graphs = itertools.cycle(sized(2, 4, 2))
     checked = 0
-    while checked < 2000:
-        g = _graph(rng)
-        ctx = AlgebraContext(g, RATIONALS, special_edges=_context(rng, g).special)
+    while checked < 2200:
+        g = next(graphs)
+        ctx = AlgebraContext(g, RATIONALS, special_edges=context(rng, g).special)
         x, y = _q_element(rng, ctx), _q_element(rng, ctx)
         keys = [k for z in (x, y) for k in z._flat] + [
             (p.base, p.edges, q.base, q.edges) for p, q in (_pair(rng, g) for _ in range(3))

@@ -6,22 +6,20 @@ the earlier ``gk_filtration`` and ``fp_filtration`` and the count-and-heap
 engine they drove, kept as they were except for their names, this
 docstring, and the condensation the gk one reads: ``_OldFields`` gives it
 the two derived fields it used, ``minimal`` and ``reaches_cyclic``, computed
-as the earlier cached properties did, without ``depth``.  On seeded graphs
-(multiplicities 1 to 3, acyclic graphs, the empty graph, and graphs the
-filtrations refuse) the library must return the same filtration, or raise
-the same error with the same message.
+as the earlier cached properties did, without ``depth``.  On every corpus graph
+(long chains of loops, multiplicities 1 to 3, acyclic graphs, the empty
+graph, and graphs the filtrations refuse) the library must return the same
+filtration, or raise the same error with the same message.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
-import random
 from typing import Iterator
 
 from leavitt.closures import HSSet
 from leavitt.errors import LeavittError, NotSupportedError
-from leavitt.graph import OMEGA, Condensation, Cycle, Edge, Graph, condensation, cycle_base, cycle_vertices
+from leavitt.graph import OMEGA, Condensation, Cycle, Graph, condensation, cycle_base, cycle_vertices
 from leavitt.structure import (
     Filtration,
     LaurentMatrixLayer,
@@ -35,6 +33,7 @@ from leavitt.structure import (
     fp_filtration,
     gk_filtration,
 )
+from corpus import GRAPHS
 from test_laurent_index_oracle import _entry_paths
 
 
@@ -213,43 +212,9 @@ def _outcome(g: Graph, fn):
         return type(exc), str(exc)
 
 
-def _random_graph(rng: random.Random) -> Graph:
-    """Up to 14 vertices, each edge mostly from a lower to a higher vertex
-    (in half the graphs often to the next one) and many vertices with a
-    loop, so chains of loops are long; multiplicities 1 to 3, a few back edges (cycles through several
-    vertices, or pre-orders that fail antisymmetry), loops of multiplicity
-    2, and a few omega bundles."""
-    n = rng.randint(0, 14)
-    verts = [f"v{i:02d}" for i in range(n)]
-    edges = []
-    back = rng.choice([0.0, 0.0, 0.05, 0.15])
-    omega = rng.choice([0.0, 0.0, 0.0, 0.03])
-    loops = rng.choice([0.4, 0.6, 0.8])
-    near = rng.choice([0.0, 0.5])
-    for k in range(rng.randint(0, 2 * n) if n else 0):
-        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
-        if rng.random() < near:  # a short step, which makes long chains
-            j = min(i + 1, n - 1)
-        if rng.random() < back:
-            i, j = j, i
-        mult = OMEGA if rng.random() < omega else rng.choice([1, 1, 1, 2, 3])
-        edges.append(Edge(f"e{k}", verts[i], verts[j], mult))
-    for v in verts:
-        if rng.random() < loops:
-            edges.append(Edge(f"l{v}", v, v, 2 if rng.random() < 0.02 else 1))
-    return Graph(verts, edges)
-
-
-@functools.cache
-def _graphs() -> tuple[Graph, ...]:
-    """The seeded graphs, built once for both filtrations."""
-    rng = random.Random(28)
-    return (Graph([], []), Graph(["v"], [])) + tuple(_random_graph(rng) for _ in range(3000))
-
-
 def test_gk_filtration_matches_the_quotient_walk():
     deep = mixed = omega = several = acyclic = refused = 0
-    for g in _graphs():
+    for g in GRAPHS:
         old = _outcome(g, _oracle_gk_filtration)
         assert _outcome(g, gk_filtration) == old, g.edges
         if not isinstance(old, Filtration):
@@ -270,7 +235,7 @@ def test_gk_filtration_matches_the_quotient_walk():
 
 def test_fp_filtration_matches_the_quotient_walk():
     deep = unordered = saturated = omega = refused = 0
-    for g in _graphs():
+    for g in GRAPHS:
         old = _outcome(g, _oracle_fp_filtration)
         assert _outcome(g, fp_filtration) == old, g.edges
         if not isinstance(old, Filtration):

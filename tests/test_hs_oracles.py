@@ -4,20 +4,23 @@ condensation walk, kept as an oracle.
 Everything between the markers below is the library's code from before,
 copied verbatim: it tests every one of the 2^|V| vertex subsets.  The tests
 at the end compare it with :func:`leavitt.closures.enumerate_hs_sets`, list
-order included, on seeded random graphs with loops, parallel bundles,
-infinite bundles on and off closed paths, sinks and isolated vertices.
+order included, on the corpus graphs of 1 to 8 vertices (loops, parallel
+bundles, infinite bundles on and off closed paths, sinks and isolated
+vertices).
 """
 
 from __future__ import annotations
 
-import random
+from collections import Counter
 from typing import Iterable
 
-from leavitt import OMEGA, Edge, Graph, ResourceCapError
+from leavitt import Graph, ResourceCapError
 from leavitt.closures import MAX_VERTICES_HS_DEFAULT, HSSet, _as_vertex_set
 from leavitt.closures import enumerate_hs_sets as library_enumerate_hs_sets
 from leavitt.fixtures import g_line
 from leavitt.graph import is_regular
+
+from corpus import CLASSES, sized, tags
 
 # --- verbatim copy of the old library code ----------------------------------
 
@@ -58,30 +61,15 @@ def enumerate_hs_sets(g: Graph, max_vertices: int = MAX_VERTICES_HS_DEFAULT) -> 
 # --- end of the verbatim copy -----------------------------------------------
 
 
-def _graph(rng: random.Random) -> Graph:
-    """A random graph on at most 10 vertices.
-
-    Half are acyclic apart from loops (long chains of HS sets), half
-    arbitrary.  Bundles have multiplicity 1-3 or are infinite; few edges
-    leave sinks and isolated vertices.
-    """
-    n = rng.choice((1, 2, 3, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 10))
-    verts = [f"v{i}" for i in range(n)]
-    acyclic = rng.random() < 0.5
-    edges = []
-    for k in range(rng.randint(0, 2 * n)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if acyclic and i > j:
-            i, j = j, i
-        mult = rng.choice((1, 1, 1, 1, 2, 3, OMEGA))
-        edges.append(Edge(f"e{k}", verts[i], verts[j], mult))
-    return Graph(verts, edges)
+# per class, the graphs among the 2000 drawn before the corpus
+_FLOORS = dict(zip(CLASSES, (2, 926, 616, 410, 1361, 396, 1714, 182)))
 
 
 def test_library_matches_the_subset_scan():
-    rng = random.Random(2024)
-    for _ in range(2000):
-        g = _graph(rng)
+    graphs = sized(1, 8)
+    classes = Counter(c for g in graphs for c in tags(g))
+    assert all(classes[c] >= n for c, n in _FLOORS.items()), classes
+    for g in graphs:
         assert library_enumerate_hs_sets(g) == enumerate_hs_sets(g)
 
 

@@ -6,20 +6,18 @@ reverse search from the base collects the vertices that reach it, then the
 paths are counted in topological order.  The library now counts the paths
 ending at each vertex that reaches a cycle once per graph
 (``_entry_counts``), and carries them through the base's SCC
-(``_laurent_index``).  On the seeded graphs of
-``test_condensation_oracle.py`` (up to 9 vertices, multiplicities 1 to 3
-and ``omega``, many SCCs that are not a single cycle) both must give the
-same count for every vertex of every cyclic SCC taken as the base.
+(``_laurent_index``).  On every corpus graph (multiplicities 1 to 3 and
+``omega``, many SCCs that are not a single cycle) both must give the same
+count for every vertex of every cyclic SCC taken as the base.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Union
 
 from leavitt.graph import OMEGA, Condensation, Graph, condensation
 from leavitt.structure import _entry_counts, _laurent_index
-from test_condensation_oracle import _random_graph
+from corpus import GRAPHS
 
 
 def _entry_paths(g: Graph, scc: Condensation, base: str) -> Union[int, object]:
@@ -70,10 +68,8 @@ def _entry_paths(g: Graph, scc: Condensation, base: str) -> Union[int, object]:
 
 
 def test_laurent_index_matches_the_entry_path_search():
-    rng = random.Random(31)
     bases = omega = general = general_finite = fed = infinite_bundles = 0
-    for _ in range(2000):
-        g = _random_graph(rng)
+    for g in GRAPHS:
         scc = condensation(g)
         entry = _entry_counts(g, scc)
         infinite_bundles += not g.is_row_finite()

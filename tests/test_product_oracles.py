@@ -5,21 +5,25 @@ Everything between the markers below is the library's code from before,
 copied verbatim: every left term meets every right term, each contraction is
 built as a pair of paths, and each is rewritten on its own with field
 arithmetic.  The tests at the end compare it with ``a * b``,
-``ctx.monomial`` and ``normalize_monomial`` on seeded random graphs with
-parallel and infinite bundles, custom special edges, three fields, and sums
-that cancel; the term maps must be equal, coefficient types included.
+``ctx.monomial`` and ``normalize_monomial`` on the corpus graphs of 2 to 4
+vertices and two or more (parallel, infinite) bundles, custom special
+edges, three fields, and sums that cancel; the term maps must be equal,
+coefficient types included.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from leavitt import OMEGA, AlgebraContext, AlgebraElement, Edge, Graph, Monomial, Path, PrimeField, RATIONALS
+from leavitt import AlgebraContext, AlgebraElement, Edge, Graph, Monomial, Path, PrimeField, RATIONALS
 from leavitt import normalize_monomial as library_normalize_monomial
 from leavitt.expressions import parse_expression
 from leavitt.fixtures import g_loop_chain, g_rose2
 from leavitt.graph import bundle_addresses, is_regular, path_range
+
+from corpus import FIELDS, context, sized
 
 # --- verbatim copy of the old library code ----------------------------------
 
@@ -108,29 +112,6 @@ def multiply(self, other) -> "AlgebraElement":
 
 # --- end of the verbatim copy -----------------------------------------------
 
-FIELDS = (RATIONALS, PrimeField(7), PrimeField(101))
-
-
-def _graph(rng: random.Random) -> Graph:
-    """2-4 vertices with loops, bundles of multiplicity 1-3 and infinite ones."""
-    verts = [f"v{i}" for i in range(rng.randint(2, 4))]
-    edges = [
-        Edge(f"e{k}", rng.choice(verts), rng.choice(verts), rng.choice((1, 1, 1, 2, 3, OMEGA)))
-        for k in range(rng.randint(2, 6))
-    ]
-    return Graph(verts, edges)
-
-
-def _context(rng: random.Random, g: Graph) -> AlgebraContext:
-    """Default special edges, or a random out-edge at some regular vertices."""
-    special = {}
-    if rng.random() < 0.5:
-        for v in g.vertices:
-            if is_regular(g, v) and rng.random() < 0.7:
-                special[v] = rng.choice(g.concrete_out(v))
-    return AlgebraContext(g, rng.choice(FIELDS), special_edges=special)
-
-
 def _out(g: Graph, v: str) -> list[str]:
     # the first three edges of an infinite bundle stand for all of them
     return [a for e in g.out_bundles(v) for a in bundle_addresses(g, e.id, limit=3)]
@@ -205,10 +186,11 @@ def _assert_same(lib: AlgebraElement, ref: AlgebraElement) -> None:
 
 def test_products_match_the_pair_loop():
     rng = random.Random(5150)
+    graphs = itertools.cycle(sized(2, 4, 2))
     kinds: set[str] = set()
     pairs = cancelled = rewritten = 0
-    while pairs < 2400:
-        ctx = _context(rng, _graph(rng))
+    while pairs < 2700:
+        ctx = context(rng, next(graphs))
         custom = ctx.special != AlgebraContext(ctx.graph, ctx.field).special
         kinds |= {repr(ctx.field), f"custom={custom}"} | {f"mult={e.mult}" for e in ctx.graph.edges}
         for _ in range(12):
@@ -233,8 +215,8 @@ def test_products_match_the_pair_loop():
 
 def test_monomials_match_the_rewrite():
     rng = random.Random(77)
-    for _ in range(300):
-        ctx = _context(rng, _graph(rng))
+    for g in sized(2, 4, 2)[:300]:
+        ctx = context(rng, g)
         for _ in range(5):
             p, q = _pair(rng, ctx.graph)
             c = _coeff(rng, ctx)

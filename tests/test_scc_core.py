@@ -45,11 +45,7 @@ from leavitt.fixtures import (
     g_rose2,
     g_toeplitz,
 )
-from test_scc_oracles import _graphs
-
-
-def ring(n: int) -> Graph:
-    return Graph([f"v{i}" for i in range(n)], [Edge(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+from corpus import GRAPHS, ring
 
 
 def test_enumerate_cycles_on_a_long_ring():
@@ -255,7 +251,7 @@ def test_each_filtration_set_is_the_closure_of_its_seed(seed):
     vertex-level saturated closure of the seed it records.  A Laurent layer's
     index depends on its cycle alone, not on the step, and in the gk
     filtration the layers after the first one with a cycle add cycles only."""
-    graphs = _graphs(seed, 500) if seed != "fixtures" else [
+    graphs = GRAPHS[seed::8] if seed != "fixtures" else [
         g_loop(), g_line(3), g_rose2(), g_toeplitz(), g_clock(3), g_clock_omega(),
         g_loop_chain(4), g_loop_chain_with_sink(4), g_mixed(), Graph([], []),
     ]

@@ -3,8 +3,8 @@
 Everything between the markers below is the library's code from before
 :class:`leavitt.structure.GraphAnalysis`, copied verbatim: it enumerates
 simple cycles, builds quotient graphs and scans vertex subsets.  The tests
-at the end compare it with the library on thousands of seeded random graphs
-(with parallel bundles, and infinite bundles off closed paths): every
+at the end compare it with the library on the corpus graphs of 1 to 6
+vertices with parallel bundles and at most 20 cycles (none infinite): every
 verdict, filtration, corner report and ``report`` document must match
 exactly, except the non-antisymmetry witness, which must be two distinct
 simple cycles that reach each other.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -22,7 +22,6 @@ import pytest
 
 from leavitt import (
     OMEGA,
-    Edge,
     Graph,
     InfinitelyManyCyclesError,
     LeavittError,
@@ -31,7 +30,6 @@ from leavitt import (
 )
 from leavitt import cli, graph as graph_mod, structure
 from leavitt.closures import HSSet, hereditary_closure, quotient
-from leavitt.fixtures import random_cyclic_graph, random_graph
 from leavitt.graph import (
     MAX_CYCLES_DEFAULT,
     Cycle,
@@ -56,6 +54,7 @@ from leavitt.structure import (
     VnrLayer,
 )
 from leavitt.errors import NotSupportedError
+from corpus import CLASSES, sized, tags
 from test_hs_oracles import enumerate_hs_sets
 
 NOT_ROW_FINITE = "NOT_ROW_FINITE"
@@ -635,32 +634,6 @@ def _report(g: Graph, args) -> dict:
 # --- end of the verbatim copy -----------------------------------------------
 
 
-def _variant(rng: random.Random, g: Graph) -> Graph:
-    """``g`` with some bundles widened to multiplicity 2 or 3 and, sometimes,
-    an infinite bundle between two vertices that lie on no common closed path."""
-    edges = [Edge(e.id, e.src, e.dst, rng.choice((1, 1, 1, 2, 3))) for e in g.edges]
-    if rng.random() < 0.3:
-        u, w = rng.choice(g.vertices), rng.choice(g.vertices)
-        if u not in g.reachable([w]):
-            edges.append(Edge("w0", u, w, OMEGA))
-    return Graph(g.vertices, edges)
-
-
-def _graphs(seed: int, count: int):
-    """Random graphs, random cyclic graphs, and random acyclic graphs with
-    loops added (antisymmetric, with long chains and deep filtrations)."""
-    rng = random.Random(seed)
-    for k in range(count):
-        if k % 3 == 0:
-            yield _variant(rng, random_graph(rng, max_vertices=7, max_edges=11))
-        elif k % 3 == 1:
-            yield _variant(rng, random_cyclic_graph(rng, max_vertices=7, max_edges=11))
-        else:
-            g = _variant(rng, random_graph(rng, max_vertices=8, max_edges=12, acyclic=True))
-            loops = [Edge(f"c{v}", v, v) for v in g.vertices if rng.random() < 0.6]
-            yield Graph(g.vertices, list(g.edges) + loops)
-
-
 def _outcome(fn, *args):
     """The result of a call, or the class of the LeavittError it raised."""
     try:
@@ -727,10 +700,20 @@ def _old_report(g):
     return obj
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_scc_core_matches_enumeration(seed):
-    """500 graphs per seed, 2000 in all."""
-    for g in _graphs(seed, 500):
+# per class, the most graphs a part of 500 drawn before the corpus held
+_FLOORS = dict(zip(CLASSES, (41, 256, 62, 0, 408, 36, 282, 66)))
+# the corpus graphs of 1 to 6 vertices with parallel bundles and at most 20
+# cycles, none infinite: the pre-order comparison is cubic in the cycles
+_SMALL = [g for g in sized(1, 6) if "multi_edges" in tags(g) and isinstance(_outcome(enumerate_cycles, g, 20), list)]
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_scc_core_matches_enumeration(part):
+    """Every fourth graph of ``_SMALL``, from the ``part``-th on."""
+    graphs = _SMALL[part::4]
+    classes = Counter(c for g in graphs for c in tags(g))
+    assert all(classes[c] >= n for c, n in _FLOORS.items()), classes
+    for g in graphs:
         assert graph_mod.vertices_on_closed_paths(g) == vertices_on_closed_paths(g)
         assert graph_mod.line_points(g) == line_points(g)
         assert _outcome(graph_mod.enumerate_cycles, g) == _outcome(enumerate_cycles, g)
@@ -757,13 +740,8 @@ def test_scc_core_matches_enumeration(seed):
 
 
 def test_infinite_bundle_on_a_closed_path_raises_as_before():
-    rng = random.Random(11)
     checked = 0
-    for _ in range(300):
-        g = random_cyclic_graph(rng, max_vertices=6, max_edges=9)
-        on_cycle = [e for e in g.edges if e.src in g.reachable([e.dst])]
-        e = rng.choice(on_cycle)
-        g = Graph(g.vertices, [x for x in g.edges if x != e] + [Edge(e.id, e.src, e.dst, OMEGA)])
+    for g in [g for g in sized(1, 6) if "omega_on_cycle" in tags(g)][:300]:
         for new, old in (
             (structure.decide_gk, decide_gk),
             (graph_mod.condition_L, condition_L),

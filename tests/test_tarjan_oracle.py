@@ -4,20 +4,17 @@
 except for its name: it kept a separate ``index`` dict, popped every SCC as
 a slice of the stack, and sorted the SCCs of two or more vertices after the
 DFS.  On the shapes the pass was tuned for (a long line, one-way and two-way
-rings, long loop chains) and on seeded graphs with multi-edges, loops and
-``omega`` bundles, every field of the ``Condensation``, base and derived,
+rings, long loop chains) and on every corpus graph (multi-edges, loops,
+``omega`` bundles), every field of the ``Condensation``, base and derived,
 must have the same type and value.  ``component`` is compared as a
 mapping: its iteration order, which no caller reads, now follows ``members``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import fields
 
-from test_condensation_oracle import _random_graph
-from test_scc_core import ring
-from test_scc_oracles import _graphs
+from corpus import GRAPHS, ring
 
 from leavitt.fixtures import g_line, g_loop_chain, g_loop_chain_with_sink
 from leavitt.graph import OMEGA, Condensation, Edge, Graph, Mult, _tarjan
@@ -146,22 +143,9 @@ def test_every_field_matches_on_long_lines_rings_and_loop_chains():
         _assert_same_fields(g)
 
 
-def _dense_graph(rng: random.Random) -> Graph:
-    """Up to 30 vertices and one to three bundles per vertex: denser than
-    the other generators, so that more SCCs have several vertices."""
-    verts = [f"v{i}" for i in range(rng.randint(2, 30))]
-    edges = [
-        Edge(f"e{k}", rng.choice(verts), rng.choice(verts), rng.choice([1, 1, 1, 2, 3, OMEGA]))
-        for k in range(rng.randint(len(verts), 3 * len(verts)))
-    ]
-    return Graph(verts, edges)
-
-
 def test_every_field_matches_on_seeded_graphs():
-    rng = random.Random(30)
-    graphs = [_random_graph(rng) for _ in range(600)] + list(_graphs(30, 600)) + [_dense_graph(rng) for _ in range(400)]
     loops = multi = omega = singletons = larger = 0
-    for g in graphs:
+    for g in GRAPHS:
         scc = _assert_same_fields(g)
         loops += any(e.src == e.dst for e in g.edges)
         multi += any(e.mult is not OMEGA and e.mult > 1 for e in g.edges)
