@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -381,6 +382,13 @@ class AlgebraContext:
             raise NotSupportedError("p and q must have a common range")
 
 
+def _require_context(x) -> AlgebraContext:
+    """``x``, which must be an :class:`AlgebraContext`."""
+    if not isinstance(x, AlgebraContext):
+        raise NotSupportedError(f"expected an AlgebraContext, not {x!r}")
+    return x
+
+
 # An element's state is a flat term map {(p.base, p.edges, q.base, q.edges):
 # n} with integer numerators over one denominator d, in the canonical form of
 # the field's ``reduce``.  Products, sums and serialization work on it
@@ -492,9 +500,7 @@ def normalize_monomial(
     """Normal form of coeff * p q*; p and q must share their range.  ``rng``
     has no effect: the term reduces along one chain, so there is no rewrite
     order to choose."""
-    if not isinstance(ctx, AlgebraContext):
-        raise NotSupportedError(f"expected an AlgebraContext, not {ctx!r}")
-    ctx._require_common_range(p, q)
+    _require_context(ctx)._require_common_range(p, q)
     return _from_terms(ctx, [(p.base, p.edges, q.base, q.edges)], [ctx.field.coerce(coeff)])
 
 
@@ -644,28 +650,48 @@ class AlgebraElement:
             for deg, flat in sorted(buckets.items())
         }
 
-    def to_obj(self) -> list[dict]:
-        """The terms as JSON objects ``{"p", "q", "coeff"}`` (and ``"v"``
-        for a vertex term) in the order of :meth:`Monomial.sort_key`.
-
-        Each distinct numerator is formatted once, however many terms share
-        it, and the term objects are built in one comprehension; the few
-        vertex terms, which sort together, get their ``"v"`` afterwards.
-        """
+    def _rows(self) -> tuple[list[tuple], dict[int, str], range]:
+        """The term order and format of :meth:`to_obj` and :meth:`_to_json`:
+        the rows ``(degree, p.edges, p.base, q.edges, q.base, n)`` in the
+        order of :meth:`Monomial.sort_key`, each distinct numerator n
+        formatted once, and the positions of the vertex terms."""
         fmt = self.ctx.field.format_integral
         d = self._den
-        # the order of Monomial.sort_key: degree, p.edges, p.base, q.edges,
-        # q.base; the keys are distinct, so the numerators are never compared
+        # the keys are distinct, so the numerators are never compared
         rows = sorted([(len(pe) - len(qe), pe, pb, qe, qb, n) for (pb, pe, qb, qe), n in self._flat.items()])
         coeffs = {n: fmt(n, d) for n in set(self._flat.values())}
-        out = [{"p": list(pe), "q": list(qe), "coeff": coeffs[n]} for _, pe, _, qe, _, n in rows]
         # a vertex term is a row (0, (), v, (), v, n): they come first among
         # the terms of degree 0
-        i = bisect_left(rows, (0, ()))
-        while i < len(rows) and not rows[i][0] and not rows[i][1]:
+        lo = hi = bisect_left(rows, (0, ()))
+        while hi < len(rows) and not rows[hi][0] and not rows[hi][1]:
+            hi += 1
+        return rows, coeffs, range(lo, hi)
+
+    def to_obj(self) -> list[dict]:
+        """The terms as JSON objects ``{"p", "q", "coeff"}`` (and ``"v"``
+        for a vertex term) in the order of :meth:`Monomial.sort_key`."""
+        rows, coeffs, vertex_rows = self._rows()
+        out = [{"p": list(pe), "q": list(qe), "coeff": coeffs[n]} for _, pe, _, qe, _, n in rows]
+        for i in vertex_rows:
             out[i]["v"] = rows[i][2]
-            i += 1
         return out
+
+    def _to_json(self) -> str:
+        """``json.dumps({"terms": self.to_obj()}, sort_keys=True)``, written
+        from the rows without building the objects."""
+        rows, coeffs, vertex_rows = self._rows()
+        enc = encode_basestring_ascii
+        coeffs = {n: enc(c) for n, c in coeffs.items()}
+        j = ", ".join
+        # a one-edge path, as each sibling of a (CK2) expansion is, needs no join
+        terms = [
+            f'{{"coeff": {coeffs[n]}, "p": [{enc(pe[0]) if len(pe) == 1 else j(map(enc, pe))}], '
+            f'"q": [{enc(qe[0]) if len(qe) == 1 else j(map(enc, qe))}]}}'
+            for _, pe, _, qe, _, n in rows
+        ]
+        for i in vertex_rows:
+            terms[i] = f'{terms[i][:-1]}, "v": {enc(rows[i][2])}}}'
+        return f'{{"terms": [{j(terms)}]}}'
 
 
 _TERM_KEYS = frozenset(("p", "q", "coeff"))
@@ -677,7 +703,7 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
     Each item is validated on its own; then all of them are rewritten
     together over one common denominator and reduced once.
     """
-    g = ctx.graph
+    g = _require_context(ctx).graph
     if not isinstance(obj, list):
         raise SchemaError("an element must be a list of terms")
     keys = []
@@ -711,6 +737,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def degree_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
+    if not isinstance(a, AlgebraElement):
+        raise NotSupportedError(f"expected an AlgebraElement, not {a!r}")
     return a.degree_components()
 
 
@@ -720,8 +748,11 @@ def degree_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
 
 
 def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
+    special = _require_context(ctx)._special_src
+    if not isinstance(m, Monomial):
+        raise NotSupportedError(f"expected a Monomial, not {m!r}")
     pe, qe = m.p.edges, m.q.edges
-    return not (pe and qe and pe[-1] == qe[-1] and pe[-1] in ctx._special_src)
+    return not (pe and qe and pe[-1] == qe[-1] and pe[-1] in special)
 
 
 def _require_finite_bundles(g: Graph) -> None:

@@ -173,8 +173,8 @@ def _act(g: Graph, args) -> dict:
 
 # The subcommands: name -> (help, own options, handler).  An option is (flag,
 # add_argument keywords); a handler maps (graph, parsed arguments) to the JSON
-# object written on stdout.  Handlers name library functions in their bodies,
-# so they resolve them when called.
+# object written on stdout, or (eval) to its text.  Handlers name library
+# functions in their bodies, so they resolve them when called.
 _COMMANDS = {
     "validate": (
         "validate a graph document",
@@ -225,9 +225,7 @@ _COMMANDS = {
             ("--expr", {"required": True}),
             ("--field", {"default": "q", "help": "'q' for rationals or a prime p for GF(p)"}),
         ),
-        lambda g, args: {
-            "terms": parse_expression(args.expr, AlgebraContext(g, _field(args.field))).to_obj(),
-        },
+        lambda g, args: parse_expression(args.expr, AlgebraContext(g, _field(args.field)))._to_json(),
     ),
     "growth": (
         "dimension profile of the filtered algebra",
@@ -346,9 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         if module == "sv" and not args.vertex:
             raise InputError("the sv module needs --vertex")
         obj = args.handler(_read_graph(args.graph), args)
-        # every handler returns a fresh tree, which has no cycle, so the
+        # eval returns its text; a tree is fresh, so it has no cycle, and the
         # encoder's circular check (an id() kept per container) is skipped
-        sys.stdout.write(json.dumps(obj, sort_keys=True, check_circular=False) + "\n")
+        text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True, check_circular=False)
+        sys.stdout.write(text + "\n")
         return 0
     except ResourceCapError as exc:
         return _fail(exc, 3)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .algebra import AlgebraContext, AlgebraElement, _from_terms
+from .algebra import AlgebraContext, AlgebraElement, _from_terms, _require_context
 from .errors import ExpressionError, UnknownEdgeError
 
 # a character that starts no token ends a match with no token, so the
@@ -124,7 +124,7 @@ def parse_expression(src: str, ctx: AlgebraContext) -> AlgebraElement:
     if not tokens:
         raise ExpressionError("empty expression")
     tokens.append(_END)
-    field = ctx.field
+    field = _require_context(ctx).field
     keys = []
     scalars = []
     negative = False

@@ -411,6 +411,8 @@ def _as_addresses(x, what: str) -> tuple:
 
 def path_range(g: Graph, p: Path) -> str:
     _require_graph(g)
+    if not isinstance(p, Path):
+        raise NotSupportedError(f"expected a Path, not {p!r}")
     return g.dst_of(p.edges[-1]) if p.edges else p.base
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import AlgebraContext, AlgebraElement
+from .algebra import AlgebraContext, AlgebraElement, _require_context
 from .errors import ContextMismatchError, NotSupportedError, ResourceCapError
 from .graph import (
     OMEGA,
@@ -96,6 +96,13 @@ class GeneratedStream:
 StreamDescriptor = Union[PeriodicPath, GeneratedStream]
 
 
+def _require_stream(x) -> StreamDescriptor:
+    """``x``, which must be a stream descriptor."""
+    if not isinstance(x, (PeriodicPath, GeneratedStream)):
+        raise NotSupportedError(f"expected a stream descriptor, not {x!r}")
+    return x
+
+
 def periodic_stream(g: Graph, period_edges, prefix_edges=()) -> PeriodicPath:
     period = make_path(g, period_edges)
     if path_range(g, period) != period.base:
@@ -144,7 +151,7 @@ def generated_stream(g: Graph, first: Cycle, second: Cycle, base: str | None = N
 def stream_source(g: Graph, stream: StreamDescriptor) -> str:
     if isinstance(stream, PeriodicPath):
         return stream.source()
-    return g.src_of(stream.g[0])
+    return g.src_of(_require_stream(stream).g[0])
 
 
 def stream_vertex_after(g: Graph, stream: StreamDescriptor, n: int) -> str:
@@ -156,7 +163,7 @@ def stream_vertex_after(g: Graph, stream: StreamDescriptor, n: int) -> str:
 
 def stream_prefix(stream: StreamDescriptor, n: int) -> tuple[str, ...]:
     """The first n edge addresses of the stream."""
-    return tuple(stream.edge_at(i) for i in range(1, n + 1))
+    return tuple(map(_require_stream(stream).edge_at, range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +188,7 @@ class ChenBasisElement:
 def chen_basis_element(
     g: Graph, stream: StreamDescriptor, prefix: Path | None = None, tail_index: int = 0
 ) -> ChenBasisElement:
+    _require_stream(stream)
     if _require_int(tail_index, "the tail index") < 0:
         raise NotSupportedError("tail index must be >= 0")
     if prefix is None:
@@ -219,10 +227,13 @@ def _canonical(g: Graph, stream: StreamDescriptor, edges: tuple[str, ...], n: in
 # ---------------------------------------------------------------------------
 
 
-def _act(ctx: AlgebraContext, x: AlgebraElement, vec: dict, step) -> dict:
-    """Act with x on ``vec``; ``step(b, p.edges, q.base, q.edges)`` is the
-    basis element p q* sends the basis element b to, or None for zero.  p
-    and q share their range, so p always chains onto what q* leaves."""
+def _act(ctx: AlgebraContext, x: AlgebraElement, vec: dict, step, basis: type) -> dict:
+    """Act with x on ``vec``, a dict with keys of type ``basis``;
+    ``step(b, p.edges, q.base, q.edges)`` is the basis element p q* sends
+    the basis element b to, or None for zero.  p and q share their range,
+    so p always chains onto what q* leaves."""
+    if not (isinstance(vec, dict) and all(isinstance(b, basis) for b in vec)):
+        raise NotSupportedError(f"a module vector here is a dict from {basis.__name__}s to scalars")
     if not isinstance(x, AlgebraElement):
         raise NotSupportedError(f"expected an AlgebraElement, not {x!r}")
     if x.ctx is not ctx and x.ctx != ctx:
@@ -251,7 +262,7 @@ def chen_act(ctx: AlgebraContext, x: AlgebraElement, vec: dict) -> dict:
     the rest; an edge prepends when it chains; a ghost edge removes the first
     edge when it matches and kills the rest.
     """
-    g = ctx.graph
+    g = _require_context(ctx).graph
 
     def step(b: ChenBasisElement, pe, qb, qe) -> ChenBasisElement | None:
         # strip q from the front of b, reading on into the stream's tail
@@ -264,13 +275,13 @@ def chen_act(ctx: AlgebraContext, x: AlgebraElement, vec: dict) -> dict:
                 return None
         return _canonical(g, b.stream, pe + be[len(qe):], n + max(0, len(qe) - lb))
 
-    return _act(ctx, x, vec, step)
+    return _act(ctx, x, vec, step, ChenBasisElement)
 
 
 def sv_act(ctx: AlgebraContext, v: str, x: AlgebraElement, vec: dict) -> dict:
     """Act with x on a vector over the finite paths ending at the infinite
     emitter ``v``; ghost edges additionally kill the length-0 path."""
-    g = ctx.graph
+    g = _require_context(ctx).graph
     if not g.is_infinite_emitter(g.require_vertex(v)):
         raise NotSupportedError(f"{v!r} is not an infinite emitter")
 
@@ -283,7 +294,7 @@ def sv_act(ctx: AlgebraContext, v: str, x: AlgebraElement, vec: dict) -> dict:
         edges = pe + b.edges[len(qe):]
         return Path(g.src_of(edges[0]), edges) if edges else Path(v)
 
-    return _act(ctx, x, vec, step)
+    return _act(ctx, x, vec, step, Path)
 
 
 def singleton_vector(ctx: AlgebraContext, key, coeff=1) -> dict:
@@ -325,7 +336,8 @@ def bifurcation_data(ctx: AlgebraContext, stream: StreamDescriptor, depth: int) 
     n-th edge give generators f* (prefix of length n-1)*, and the idempotent
     mu_n is (prefix of length n-1)(prefix of length n-1)*.
     """
-    g = ctx.graph
+    g = _require_context(ctx).graph
+    _require_stream(stream)
     if _require_int(depth, "depth") < 1:
         raise NotSupportedError("depth must be >= 1")
     integers = []
@@ -361,7 +373,7 @@ def bifurcation_data(ctx: AlgebraContext, stream: StreamDescriptor, depth: int) 
 
 
 def stream_to_obj(stream: StreamDescriptor) -> dict:
-    if isinstance(stream, PeriodicPath):
+    if isinstance(_require_stream(stream), PeriodicPath):
         return {
             "kind": "periodic",
             "prefix": list(stream.prefix.edges),

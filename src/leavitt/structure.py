@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .closures import HSSet, saturated_closure
@@ -80,10 +81,14 @@ class CyclePoset:
     components: tuple[int, ...]
     reach: tuple[int, ...]
 
+    @cached_property
+    def _positions(self) -> dict[Cycle, int]:
+        return {c: i for i, c in enumerate(self.cycles)}
+
     def index(self, c: Cycle) -> int:
         try:
-            return self.cycles.index(c)
-        except ValueError:
+            return self._positions[c]
+        except (KeyError, TypeError):  # TypeError: an unhashable c
             raise NotSupportedError(f"{c!r} is not a cycle of this poset") from None
 
     def holds(self, c: Cycle, d: Cycle) -> bool:

@@ -3,11 +3,28 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 
 import pytest
 
-from leavitt import OMEGA, Edge, Graph, graph_from_json, graph_from_obj, graph_to_json, graph_to_obj, saturated_closure
-from leavitt.cli import _COMMANDS, _parsers, main
+from leavitt import (
+    OMEGA,
+    AlgebraContext,
+    AlgebraElement,
+    Edge,
+    Graph,
+    PrimeField,
+    RATIONALS,
+    graph_from_json,
+    graph_from_obj,
+    graph_to_json,
+    graph_to_obj,
+    parse_expression,
+    saturated_closure,
+)
+from leavitt.cli import _COMMANDS, _field, _parsers, main
+from leavitt.errors import ResourceCapError
 from leavitt.fixtures import (
     g_clock_omega,
     g_line,
@@ -17,6 +34,7 @@ from leavitt.fixtures import (
     g_rose2,
     g_toeplitz,
 )
+from leavitt.graph import bundle_addresses
 
 
 @pytest.fixture
@@ -201,6 +219,13 @@ def _wide() -> Graph:
     return Graph(["u", "w"], [Edge("b", "u", "w", 8192)])
 
 
+def _escapes() -> Graph:
+    """Ids that JSON escapes: a -b-> w"\\é and a -c"\\é(2)-> w"\\é -d\\ñ"-> z\\"ü,
+    with the plain vertex a first, so that the eval expression can name it."""
+    w, z = 'w"\\é', 'z\\"ü'
+    return Graph(["a", w, z], [Edge("b", "a", w), Edge('c"\\é', "a", w, 2), Edge('d\\ñ"', w, z)])
+
+
 _BYTE_GRAPHS = {
     "toeplitz": g_toeplitz,
     "loop": g_loop,
@@ -210,6 +235,7 @@ _BYTE_GRAPHS = {
     "line": lambda: g_line(4),
     "mixed": g_mixed,
     "wide": _wide,
+    "escapes": _escapes,
 }
 
 # act needs an infinite path (chen) or an infinite emitter (sv)
@@ -247,7 +273,8 @@ def _byte_cases(name: str, g: Graph) -> list[tuple[str, list[str]]]:
 def test_cli_output_is_the_default_encoding_of_the_handler_object(tmp_path, capsys):
     """The CLI and ``graph_to_json`` encode without the circular-reference
     check; their bytes are those of the default ``json.dumps`` of the
-    object the handler (or ``graph_to_obj``) returns."""
+    object the handler (or ``graph_to_obj``) returns.  A handler that
+    returns text (eval) returns that encoding of ``to_obj``'s terms."""
     _, commands, _ = _parsers()
     answered = set()
     for name, make in _BYTE_GRAPHS.items():
@@ -267,8 +294,72 @@ def test_cli_output_is_the_default_encoding_of_the_handler_object(tmp_path, caps
                 continue
             args = commands[command].parse_args(argv[1:])
             obj = args.handler(graph_from_json(path.read_bytes()), args)
-            assert out == json.dumps(obj, sort_keys=True) + "\n", (name, argv)
+            if isinstance(obj, str):
+                assert command == "eval"
+                x = parse_expression(args.expr, AlgebraContext(g, _field(args.field)))
+                assert obj == json.dumps(json.loads(obj), sort_keys=True)
+                assert obj == json.dumps({"terms": x.to_obj()}, sort_keys=True)
+                text = obj
+            else:
+                text = json.dumps(obj, sort_keys=True)
+            assert out == text + "\n", (name, argv)
             answered.add((name, command))
     assert {command for _, command in answered} == set(_COMMANDS)
     assert len(answered) >= 110
-    assert ("wide", "eval") in answered
+    assert {("wide", "eval"), ("escapes", "eval"), ("escapes", "report")} <= answered
+
+
+_SUFFIXES = ("", '"', "\\", "é", '"\\é')
+
+
+def _escaped(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with each id followed by a suffix that JSON escapes, or by none.
+    The corpus ids are letters and digits, so no two new ids clash."""
+    name = {v: v + rng.choice(_SUFFIXES) for v in g.vertices}
+    edges = [Edge(e.id + rng.choice(_SUFFIXES), name[e.src], name[e.dst], e.mult) for e in g.edges]
+    return Graph(list(name.values()), edges)
+
+
+def _sum(rng: random.Random, gens: list) -> AlgebraElement:
+    scalars = ("1", "-1", "2", "1/2", "-2/3", "7", "5/12")
+    return AlgebraElement.sum(rng.choice(gens).scale(rng.choice(scalars)) for _ in range(rng.randint(1, 4)))
+
+
+def test_the_eval_text_is_the_default_encoding_of_to_obj(tmp_path, capsys):
+    """The text eval writes, ``AlgebraElement._to_json``, is the default
+    ``json.dumps`` of ``{"terms": to_obj()}`` on sums and products of
+    generators over the corpus graphs with escaped ids, over Q and GF(7),
+    and a coefficient too long to print exits 3 with nothing on stdout."""
+    from corpus import sized
+
+    rng = random.Random(3303)
+    seen = {"zero": 0, "vertex": 0, '\\"': 0, "\\\\": 0, "\\u00e9": 0, "Q": 0, "GF(7)": 0}
+    for g in sized(1, 6, 1)[:240]:
+        g = _escaped(rng, g)
+        for field in (RATIONALS, PrimeField(7)):
+            ctx = AlgebraContext(g, field)
+            gens = [ctx.vertex(v) for v in g.vertices]
+            gens += [f(a) for e in g.edges for a in bundle_addresses(g, e.id, 2) for f in (ctx.edge, ctx.ghost)]
+            x = _sum(rng, gens)
+            if rng.random() < 0.7:
+                x = x * _sum(rng, gens)
+            text = x._to_json()
+            assert text == json.dumps({"terms": x.to_obj()}, sort_keys=True)
+            seen[repr(field)] += 1
+            seen["zero"] += x.is_zero
+            seen["vertex"] += '"v": ' in text
+            for escape in ('\\"', "\\\\", "\\u00e9"):
+                seen[escape] += escape in text
+    assert seen["Q"] + seen["GF(7)"] - seen["zero"] >= 300 and min(seen.values()) >= 50, seen
+    # a sum of two fractions whose denominators' product has more digits than str() converts
+    limit = sys.get_int_max_str_digits()
+    n = 10 ** (limit // 2 + 50)
+    expr = f"1/{n} v1 + 1/{n + 1} v1"
+    with pytest.raises(ResourceCapError):
+        parse_expression(expr, AlgebraContext(g_toeplitz()))._to_json()
+    path = tmp_path / "toeplitz.json"
+    path.write_text(graph_to_json(g_toeplitz()), encoding="utf-8")
+    assert main(["eval", str(path), "--expr", expr]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"a coefficient has more than {limit} digits, too long to print", "exit": 3}

@@ -42,6 +42,7 @@ from leavitt import (
     cycle_poset,
     cycle_vertices,
     decide_fp,
+    degree_components,
     decide_gk,
     disjoint_cycles_criterion,
     element_from_obj,
@@ -56,10 +57,12 @@ from leavitt import (
     hedgehog,
     hereditary_closure,
     is_hereditary,
+    is_normal,
     is_saturated,
     laurent_index_cardinality,
     line_points,
     make_path,
+    Monomial,
     normalize_monomial,
     parse_expression,
     path_range,
@@ -67,6 +70,9 @@ from leavitt import (
     quotient,
     saturated_closure,
     stream_from_obj,
+    stream_prefix,
+    stream_source,
+    stream_to_obj,
     subalgebra_graph,
     sv_act,
     tree,
@@ -321,6 +327,24 @@ _WRONG_TYPES = {
     "periodic_stream(5, ['c'])": lambda g, ctx: periodic_stream(5, ["c"]),
     "generated_stream(5, g, h)": lambda g, ctx: generated_stream(5, Cycle(("g",)), Cycle(("h",))),
     "stream_from_obj(5, periodic c)": lambda g, ctx: stream_from_obj(5, {"kind": "periodic", "period": ["c"]}),
+    "path_range(g, 'e')": lambda g, ctx: path_range(g, "e"),
+    "chen_act(ctx, v1, {5: 1})": lambda g, ctx: chen_act(ctx, ctx.vertex("v1"), {5: 1}),
+    "chen_act(ctx, v1, 5)": lambda g, ctx: chen_act(ctx, ctx.vertex("v1"), 5),
+    # u emits infinitely many edges; the contexts of one graph are equal
+    "sv_act(ctx, 'u', u, {5: 1})": lambda g, ctx: sv_act(
+        AlgebraContext(g_clock_omega()), "u", AlgebraContext(g_clock_omega()).vertex("u"), {5: 1}
+    ),
+    "stream_prefix(5, 2)": lambda g, ctx: stream_prefix(5, 2),
+    "stream_prefix(5, 0)": lambda g, ctx: stream_prefix(5, 0),
+    "stream_source(g, 5)": lambda g, ctx: stream_source(g, 5),
+    "stream_to_obj(5)": lambda g, ctx: stream_to_obj(5),
+    "bifurcation_data(ctx, 5, 2)": lambda g, ctx: bifurcation_data(ctx, 5, 2),
+    "chen_basis_element(g, 5)": lambda g, ctx: chen_basis_element(g, 5),
+    "parse_expression('v1', 5)": lambda g, ctx: parse_expression("v1", 5),
+    "element_from_obj(5, [])": lambda g, ctx: element_from_obj(5, []),
+    "is_normal(5, v1 v1*)": lambda g, ctx: is_normal(5, Monomial(Path("v1"), Path("v1"))),
+    "is_normal(ctx, 5)": lambda g, ctx: is_normal(ctx, 5),
+    "degree_components(5)": lambda g, ctx: degree_components(5),
 }
 
 
