@@ -263,6 +263,10 @@ class Monomial:
     p: Path
     q: Path
 
+    def __post_init__(self):
+        if not (isinstance(self.p, Path) and isinstance(self.q, Path)):
+            raise NotSupportedError(f"a monomial is a pair of paths, not {self.p!r} and {self.q!r}")
+
     @property
     def degree(self) -> int:
         return len(self.p.edges) - len(self.q.edges)
@@ -733,6 +737,9 @@ def element_from_obj(ctx: AlgebraContext, obj) -> AlgebraElement:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    for x in (a, b):
+        if not isinstance(x, AlgebraElement):
+            raise NotSupportedError(f"expected an AlgebraElement, not {x!r}")
     return a * b
 
 

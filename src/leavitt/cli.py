@@ -174,7 +174,12 @@ def _act(g: Graph, args) -> dict:
 # The subcommands: name -> (help, own options, handler).  An option is (flag,
 # add_argument keywords); a handler maps (graph, parsed arguments) to the JSON
 # object written on stdout, or (eval) to its text.  Handlers name library
-# functions in their bodies, so they resolve them when called.
+# functions in their bodies, so they resolve them when called.  Every
+# subcommand also takes the cap options, before its own.
+_CAP_OPTIONS = (
+    ("--max-cycles", {"type": int, "default": MAX_CYCLES_DEFAULT}),
+    ("--max-vertices-hs", {"type": int, "default": MAX_VERTICES_HS_DEFAULT}),
+)
 _COMMANDS = {
     "validate": (
         "validate a graph document",
@@ -256,9 +261,8 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, dict]]:
-    """The top-level parser, each subcommand's own parser by name, and each
-    subcommand's options by name: flag -> the argparse action that reads it."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     ap = _Parser(
         prog="leavitt",
         description="Graph-algebra analysis: verdicts, closures, derived graphs, "
@@ -266,19 +270,13 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    flags = {}
     for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph JSON file, or - for stdin")
-        table = flags[name] = {}
-        for flag, kwargs in (
-            ("--max-cycles", {"type": int, "default": MAX_CYCLES_DEFAULT}),
-            ("--max-vertices-hs", {"type": int, "default": MAX_VERTICES_HS_DEFAULT}),
-            *options,
-        ):
-            table[flag] = p.add_argument(flag, **kwargs)
+        for flag, kwargs in (*_CAP_OPTIONS, *options):
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-    return ap, sub.choices, flags
+    return ap, sub.choices
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,22 +284,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, dict]]:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # building the parsers costs more than many requests; parsing leaves them unchanged
     return _build_parsers()
 
 
-def _plain_args(command: str, args: list[str], flags: dict) -> argparse.Namespace | None:
+def _options(command: str) -> dict[str, dict]:
+    """The subcommand's options: flag -> its add_argument keywords."""
+    return dict((*_CAP_OPTIONS, *_COMMANDS[command][1]))
+
+
+def _plain_args(command: str, args: list[str]) -> argparse.Namespace | None:
     """What the subcommand's parser reads from ``args``, when they have the
-    plain shape: exact flags from ``flags``, each followed by one value that
-    does not start with "-" (but may be "-"), and one positional, the graph.
-    Any other shape, or a value the parser would refuse, gives None."""
+    plain shape: exact flags of the subcommand, each followed by one value
+    that does not start with "-" (but may be "-"), and one positional, the
+    graph.  Any other shape, or a value the parser would refuse, gives None."""
+    options = _options(command)
     ns = {}
     graph = None
     tokens = iter(args)
     for arg in tokens:
-        action = flags.get(arg)
-        if action is None:
+        spec = options.get(arg)
+        if spec is None:
             if graph is not None or (arg[:1] == "-" and arg != "-"):
                 return None
             graph = arg
@@ -309,34 +313,39 @@ def _plain_args(command: str, args: list[str], flags: dict) -> argparse.Namespac
         value = next(tokens, None)
         if value is None or (value[:1] == "-" and value != "-"):
             return None
-        if action.type is not None:
+        if "type" in spec:
             try:
-                value = action.type(value)
+                value = spec["type"](value)
             except (TypeError, ValueError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
             return None
-        ns[action.dest] = value
+        ns[_dest(arg)] = value
     if graph is None:
         return None
-    for action in flags.values():
-        if action.dest not in ns:
-            if action.required:
+    for flag, spec in options.items():
+        if _dest(flag) not in ns:
+            if spec.get("required"):
                 return None
-            ns[action.dest] = action.default
+            ns[_dest(flag)] = spec.get("default")
     return argparse.Namespace(graph=graph, handler=_COMMANDS[command][2], **ns)
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse reads a long flag into: "--max-cycles" -> "max_cycles"."""
+    return flag[2:].replace("-", "_")
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        top, _, flags = _parsers()
         # argv of the plain shape after a subcommand's name is read without
-        # argparse; anything else goes to the top-level parser
-        args = _plain_args(argv[0], argv[1:], flags[argv[0]]) if argv and argv[0] in flags else None
+        # argparse, which builds its parsers only for anything else
+        args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:
-            args = top.parse_args(argv)
+            args = _parsers()[0].parse_args(argv)
         # act's flags (only act has --module) are checked before the graph is read
         module = getattr(args, "module", None)
         if module == "chen" and not args.stream:

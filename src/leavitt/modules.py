@@ -298,7 +298,7 @@ def sv_act(ctx: AlgebraContext, v: str, x: AlgebraElement, vec: dict) -> dict:
 
 
 def singleton_vector(ctx: AlgebraContext, key, coeff=1) -> dict:
-    return {key: ctx.field.coerce(coeff)}
+    return {key: _require_context(ctx).field.coerce(coeff)}
 
 
 # ---------------------------------------------------------------------------

@@ -132,5 +132,11 @@ def ring(n: int) -> Graph:
     return Graph([f"v{i}" for i in range(n)], [Edge(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
 
 
+def two_way_ring(n: int) -> Graph:
+    """``ring(n)`` with each edge ``e{i}`` also reversed, as ``fe{i}``."""
+    g = ring(n)
+    return Graph(g.vertices, g.edges + tuple(Edge(f"f{e.id}", e.dst, e.src) for e in g.edges))
+
+
 _rng = random.Random(2026)
 GRAPHS: tuple[Graph, ...] = (Graph([], []), Graph(["v"], [])) + tuple(draw(_rng) for _ in range(7000))

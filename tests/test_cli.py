@@ -275,7 +275,7 @@ def test_cli_output_is_the_default_encoding_of_the_handler_object(tmp_path, caps
     check; their bytes are those of the default ``json.dumps`` of the
     object the handler (or ``graph_to_obj``) returns.  A handler that
     returns text (eval) returns that encoding of ``to_obj``'s terms."""
-    _, commands, _ = _parsers()
+    _, commands = _parsers()
     answered = set()
     for name, make in _BYTE_GRAPHS.items():
         g = make()

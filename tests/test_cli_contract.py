@@ -140,11 +140,11 @@ def _parse(parser, args):
 
 @pytest.mark.parametrize("argv", _SUBCOMMAND_ARGV)
 def test_a_subcommand_parser_reads_argv_as_the_top_level_parser_does(argv):
-    _, commands, flags = cli._parsers()
+    _, commands = cli._parsers()
     own = _parse(commands[argv[0]], argv[1:])
     assert own == _parse(cli.build_parser(), argv)
     # the direct reader reads what argparse reads, or leaves argv to argparse
-    plain = cli._plain_args(argv[0], argv[1:], flags[argv[0]])
+    plain = cli._plain_args(argv[0], argv[1:])
     assert plain is None or vars(plain) == own
 
 
@@ -152,7 +152,7 @@ def test_a_subcommand_parser_reads_argv_as_the_top_level_parser_does(argv):
 # negative numbers and flags; GRAPH is the path of a Toeplitz graph file
 _TEXTS = ["GRAPH", "-", "", "x", "v1", "c", "c*.c - v1", "q", "7", "4", '{"kind":"periodic","period":["c"]}']
 _VALUES = _TEXTS + ["--", "-5", "-1", "--x", "0", "3", "1.5", "fp", "gk", "chen", "sv"]
-_FLAGS = sorted({f for table in cli._parsers()[2].values() for f in table} | {"-h", "--help", "--version"})
+_FLAGS = sorted({f for command in cli._COMMANDS for f in cli._options(command)} | {"-h", "--help", "--version"})
 
 
 @st.composite
@@ -162,11 +162,11 @@ def _argv(draw):
     "flag=value" or a value, or that drop or replace a token."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     args = []
-    for flag, action in cli._parsers()[2][command].items():
-        if action.required or draw(st.booleans()):
-            if action.choices is not None:
-                good = st.sampled_from(action.choices)
-            elif action.type is int:
+    for flag, spec in cli._options(command).items():
+        if spec.get("required") or draw(st.booleans()):
+            if "choices" in spec:
+                good = st.sampled_from(spec["choices"])
+            elif spec.get("type") is int:
                 good = st.sampled_from(["0", "3", "7"])
             else:
                 good = st.sampled_from(_TEXTS)
@@ -203,12 +203,12 @@ def toeplitz_file(tmp_path_factory):
 def test_generated_argv_is_read_as_argparse_reads_it_and_exits_0_2_or_3(toeplitz_file, command_args):
     command, args = command_args
     args = [toeplitz_file if a == "GRAPH" else a for a in args]
-    top, commands, flags = cli._parsers()
+    top, commands = cli._parsers()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         own = _parse(commands[command], args)
         # main leaves every argv that is not of the plain shape to the top-level parser
         assert _parse(top, [command, *args]) == own
-    plain = cli._plain_args(command, args, flags[command])
+    plain = cli._plain_args(command, args)
     assert plain is None or vars(plain) == own
     err = io.StringIO()
     stdin = io.StringIO(graph_to_json(g_toeplitz()))
@@ -221,6 +221,16 @@ def test_generated_argv_is_read_as_argparse_reads_it_and_exits_0_2_or_3(toeplitz
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["exit"] == code
+
+
+def test_a_plain_request_builds_no_parser(write_graph):
+    # a fresh interpreter: the parsers of this one may be built already
+    argv = ["gk", write_graph(g_loop()), "--max-cycles", "5"]
+    script = f"from leavitt import cli; code = cli.main({argv!r}); print(code, cli._parsers.cache_info().currsize)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert run.stdout.splitlines()[-1] == "0 0", (run.stdout, run.stderr)
 
 
 def test_version_and_help_still_exit_through_argparse(capsys):

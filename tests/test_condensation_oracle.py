@@ -6,10 +6,11 @@ earlier ``reaches`` helper and twelve ``cached_property`` bodies, kept as
 they were except for the class name and docstring, and a ``depth`` property,
 the ``longest_chain`` pass without its maximum.  On every corpus graph
 (multi-edges, omega bundles, cycle pre-orders that fail antisymmetry, the
-empty graph) and on a long line and a long ring, every derived field of
-``condensation(g)`` must equal the oracle's property, and the reachability
-bitsets of ``cycle_poset(g)`` its ``reach``.  The oracle's ``reaches_cyclic``
-and ``minimal``, which the condensation no longer keeps, must read
+empty graph), on a long line, one-way and two-way rings and long loop
+chains, every derived field of ``condensation(g)`` must equal the oracle's
+property, and the reachability bitsets of ``cycle_poset(g)`` its ``reach``
+where the cycles can be listed.  The oracle's ``reaches_cyclic`` and
+``minimal``, which the condensation no longer keeps, must read
 ``depth > 0`` and ``cyclic and depth == 1``.
 """
 
@@ -20,11 +21,11 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from leavitt.errors import InfinitelyManyCyclesError, ResourceCapError
-from leavitt.fixtures import g_line
+from leavitt.fixtures import g_line, g_loop_chain, g_loop_chain_with_sink
 from leavitt.graph import Condensation, Graph, Mult, condensation
 from leavitt.structure import cycle_poset
 
-from corpus import GRAPHS, ring
+from corpus import GRAPHS, ring, two_way_ring
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,8 @@ _BASE = [f.name for f in fields(Condensation) if f.init]
 _DERIVED = [f.name for f in fields(Condensation) if not f.init]
 
 
-def _assert_matches(g: Graph) -> bool:
-    """Compare the derived fields of ``g``'s condensation with the oracle,
-    and the poset's bitsets where the cycles can be listed; whether they
-    could be."""
+def _assert_derived_fields(g: Graph) -> _CachedCondensation:
+    """Compare the derived fields of ``g``'s condensation with the oracle."""
     scc = condensation(g)
     old = _CachedCondensation(*(getattr(scc, name) for name in _BASE))
     for name in _DERIVED:
@@ -158,6 +157,14 @@ def _assert_matches(g: Graph) -> bool:
     # the two fields that depth replaced
     assert old.reaches_cyclic == [d > 0 for d in scc.depth], g
     assert old.minimal == [c and d == 1 for c, d in zip(scc.cyclic, scc.depth)], g
+    return old
+
+
+def _assert_matches(g: Graph) -> bool:
+    """Compare the derived fields of ``g``'s condensation with the oracle,
+    and the poset's bitsets where the cycles can be listed; whether they
+    could be."""
+    old = _assert_derived_fields(g)
     try:
         cp = cycle_poset(g, max_cycles=300)
     except (InfinitelyManyCyclesError, ResourceCapError):
@@ -183,3 +190,9 @@ def test_derived_fields_match_the_cached_properties():
 def test_derived_fields_match_on_a_long_line_and_a_long_ring():
     for g in (g_line(400), ring(1200)):
         assert _assert_matches(g)
+
+
+def test_derived_fields_match_on_long_loop_chains_and_a_two_way_ring():
+    for g in (g_loop_chain(200), g_loop_chain_with_sink(21)):
+        assert _assert_matches(g)
+    _assert_derived_fields(two_way_ring(1500))  # its 1502 cycles are past the cap

@@ -63,12 +63,14 @@ from leavitt import (
     line_points,
     make_path,
     Monomial,
+    multiply,
     normalize_monomial,
     parse_expression,
     path_range,
     periodic_stream,
     quotient,
     saturated_closure,
+    singleton_vector,
     stream_from_obj,
     stream_prefix,
     stream_source,
@@ -345,6 +347,9 @@ _WRONG_TYPES = {
     "is_normal(5, v1 v1*)": lambda g, ctx: is_normal(5, Monomial(Path("v1"), Path("v1"))),
     "is_normal(ctx, 5)": lambda g, ctx: is_normal(ctx, 5),
     "degree_components(5)": lambda g, ctx: degree_components(5),
+    "multiply(5, 5)": lambda g, ctx: multiply(5, 5),
+    "singleton_vector(5, Path('v1'))": lambda g, ctx: singleton_vector(5, Path("v1")),
+    "Monomial(5, 5).degree": lambda g, ctx: Monomial(5, 5).degree,
 }
 
 

@@ -34,7 +34,7 @@ from leavitt.structure import (
     gk_filtration,
 )
 from corpus import GRAPHS
-from test_laurent_index_oracle import _entry_paths
+from test_laurent_index_oracle import _entry_path_count
 
 
 class _OldFields:
@@ -94,7 +94,7 @@ def _oracle_gk_filtration(g: Graph) -> Filtration:
         added = set(acyclic)
         for c in no_exit:
             added |= cycle_vertices(g, c)
-        laurent = tuple(LaurentMatrixLayer(c, _entry_paths(g, scc, cycle_base(g, c))) for c in no_exit)
+        laurent = tuple(LaurentMatrixLayer(c, _entry_path_count(g, cycle_base(g, c))) for c in no_exit)
         if acyclic and laurent:
             layer: Layer = MixedLayer(acyclic, laurent)
         elif laurent and len(laurent) == 1:
@@ -130,7 +130,7 @@ def _oracle_fp_filtration(g: Graph) -> Filtration:
     layers: list[Layer] = [SocleLayer(chain[0].vertices)]
     while len(q.vertices) < len(g.vertices):
         c = next(q.no_exit_cycles())
-        card = _entry_paths(g, scc, cycle_base(g, c))
+        card = _entry_path_count(g, cycle_base(g, c))
         cycle = cycle_vertices(g, c)
         q.grow(cycle)
         chain.append(HSSet(frozenset(q.vertices), chain[-1].vertices | cycle))
