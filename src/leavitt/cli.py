@@ -79,7 +79,7 @@ def _read_graph(path: str) -> Graph:
 
 
 def _field(name: str):
-    if name in ("q", "Q", "rational"):
+    if name == "q":
         return RATIONALS
     try:
         return PrimeField(int(name))
@@ -171,22 +171,22 @@ def _act(g: Graph, args) -> dict:
     return {"module": args.module, "terms": terms}
 
 
-# The subcommands: name -> (help, own options, handler).  An option is (flag,
-# add_argument keywords); a handler maps (graph, parsed arguments) to the JSON
-# object written on stdout, or (eval) to its text.  Handlers name library
-# functions in their bodies, so they resolve them when called.  Every
-# subcommand also takes the cap options, before its own.
-_CAP_OPTIONS = (
-    ("--max-cycles", {"type": int, "default": MAX_CYCLES_DEFAULT}),
-    ("--max-vertices-hs", {"type": int, "default": MAX_VERTICES_HS_DEFAULT}),
-)
+# The subcommands: name -> (help, options, handler).  An option is (flag,
+# add_argument keywords), and a subcommand takes only the options it reads; a
+# handler maps (graph, parsed arguments) to the JSON object written on stdout,
+# or (eval) to its text.  Handlers name library functions in their bodies, so
+# they resolve them when called.
 _COMMANDS = {
     "validate": (
         "validate a graph document",
         (),
         lambda g, args: {"ok": True, "vertices": len(g.vertices), "edgeBundles": len(g.edges)},
     ),
-    "report": ("full analysis report", (), _report),
+    "report": (
+        "full analysis report",
+        (("--max-cycles", {"type": int, "default": MAX_CYCLES_DEFAULT}),),
+        _report,
+    ),
     "fp": ("finitely-presented-modules verdict", (), lambda g, args: decide_fp(g).to_obj()),
     "gk": ("growth verdict", (), lambda g, args: decide_gk(g).to_obj()),
     "socle": ("line points and their saturated closure", (), _socle),
@@ -195,7 +195,11 @@ _COMMANDS = {
         (("--seed", {"required": True, "help": "comma- or space-separated vertex ids"}),),
         _closure,
     ),
-    "hs-sets": ("all hereditary saturated sets", (), _hs_sets),
+    "hs-sets": (
+        "all hereditary saturated sets",
+        (("--max-vertices-hs", {"type": int, "default": MAX_VERTICES_HS_DEFAULT}),),
+        _hs_sets,
+    ),
     "quotient": (
         "quotient graph by (H, S)",
         (
@@ -261,8 +265,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's own parser by name."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name, built
+    once: building them costs more than many requests."""
     ap = _Parser(
         prog="leavitt",
         description="Graph-algebra analysis: verdicts, closures, derived graphs, "
@@ -273,25 +279,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph JSON file, or - for stdin")
-        for flag, kwargs in (*_CAP_OPTIONS, *options):
+        for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
     return ap, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # building the parsers costs more than many requests; parsing leaves them unchanged
-    return _build_parsers()
-
-
-def _options(command: str) -> dict[str, dict]:
-    """The subcommand's options: flag -> its add_argument keywords."""
-    return dict((*_CAP_OPTIONS, *_COMMANDS[command][1]))
 
 
 def _plain_args(command: str, args: list[str]) -> argparse.Namespace | None:
@@ -299,7 +290,7 @@ def _plain_args(command: str, args: list[str]) -> argparse.Namespace | None:
     plain shape: exact flags of the subcommand, each followed by one value
     that does not start with "-" (but may be "-"), and one positional, the
     graph.  Any other shape, or a value the parser would refuse, gives None."""
-    options = _options(command)
+    options = dict(_COMMANDS[command][1])
     ns = {}
     graph = None
     tokens = iter(args)

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotSupportedError, ResourceCapError, SchemaError
+from .errors import NotSupportedError, ResourceCapError
 from .graph import (
     OMEGA,
     Edge,
@@ -20,6 +20,7 @@ from .graph import (
     _as_addresses,
     _require_graph,
     _require_int,
+    _vertex_ids,
     classify_vertex,
     condensation,
     is_regular,
@@ -41,15 +42,7 @@ class HSSet:
 
 
 def _as_vertex_set(x) -> frozenset[str]:
-    if isinstance(x, HSSet):
-        return x.vertices
-    # a string is an iterable of letters, not of vertex ids
-    if isinstance(x, str):
-        raise SchemaError(f"a vertex set must be a collection of vertex ids, not the string {x!r}")
-    try:
-        return frozenset(x)
-    except TypeError:  # not iterable, or an unhashable member
-        raise SchemaError(f"a vertex set must be a collection of vertex ids, not {x!r}") from None
+    return x.vertices if isinstance(x, HSSet) else _vertex_ids(x)
 
 
 def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:

@@ -189,7 +189,7 @@ class Graph:
     # -- vertex/edge lookups -------------------------------------------------
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._out
+        return isinstance(v, str) and v in self._out
 
     def require_vertex(self, v: str) -> str:
         if not (isinstance(v, str) and v in self._out):
@@ -197,10 +197,10 @@ class Graph:
         return v
 
     def bundle(self, edge_id: str) -> Edge:
-        try:
-            return self._by_id[edge_id]
-        except KeyError:
-            raise UnknownEdgeError(f"unknown edge id {edge_id!r}") from None
+        e = self._by_id.get(edge_id) if isinstance(edge_id, str) else None
+        if e is None:
+            raise UnknownEdgeError(f"unknown edge id {edge_id!r}")
+        return e
 
     def out_bundles(self, v: str) -> tuple[Edge, ...]:
         self.require_vertex(v)
@@ -274,7 +274,7 @@ class Graph:
 
     def reachable(self, start: Iterable[str]) -> frozenset[str]:
         seen = set()
-        todo = [self.require_vertex(v) for v in start]
+        todo = [self.require_vertex(v) for v in _vertex_ids(start)]
         while todo:
             v = todo.pop()
             if v in seen:
@@ -282,6 +282,17 @@ class Graph:
             seen.add(v)
             todo.extend(w for w in self._succ[v] if w not in seen)
         return frozenset(seen)
+
+
+def _vertex_ids(x) -> frozenset[str]:
+    """The members of ``x``, which must be a collection of vertex ids."""
+    # a string is an iterable of letters, not of vertex ids
+    if isinstance(x, str):
+        raise SchemaError(f"a vertex set must be a collection of vertex ids, not the string {x!r}")
+    try:
+        return frozenset(x)
+    except TypeError:  # not iterable, or an unhashable member
+        raise SchemaError(f"a vertex set must be a collection of vertex ids, not {x!r}") from None
 
 
 def _unknown_vertex(v) -> UnknownVertexError:
@@ -331,14 +342,16 @@ def _addresses(e: Edge) -> list[str]:
 def bundle_addresses(g: Graph, edge_id: str, limit: int | None = None) -> list[str]:
     """Concrete addresses of one bundle; ``limit`` truncates an infinite bundle."""
     e = g.bundle(edge_id)
+    if limit is not None and _require_int(limit, "the address limit") < 0:
+        raise NotSupportedError(f"the address limit must be >= 0, not {limit}")
     if e.mult is OMEGA and limit is not None:
         return [_address(e, k) for k in range(limit)]
     return _addresses(e)
 
 
 def _require_int(x, what: str) -> int:
-    """``x``, which must be an integer (bounds, caps and indexes)."""
-    if not isinstance(x, int):
+    """``x``, which must be an integer and not a bool (bounds, caps and indexes)."""
+    if not isinstance(x, int) or isinstance(x, bool):
         raise NotSupportedError(f"{what} must be an integer, not {x!r}")
     return x
 

@@ -163,7 +163,10 @@ def stream_vertex_after(g: Graph, stream: StreamDescriptor, n: int) -> str:
 
 def stream_prefix(stream: StreamDescriptor, n: int) -> tuple[str, ...]:
     """The first n edge addresses of the stream."""
-    return tuple(map(_require_stream(stream).edge_at, range(1, n + 1)))
+    _require_stream(stream)
+    if _require_int(n, "the prefix length") < 0:
+        raise NotSupportedError(f"the prefix length must be >= 0, not {n}")
+    return tuple(map(stream.edge_at, range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,15 @@ def test_consecutive_calls_do_not_share_flags(write_graph, capsys):
     assert code == 0 and out["chain"][-1] == ["v1", "v2", "v3"]
 
 
-def test_verdicts_do_not_stop_at_the_cycle_cap(write_graph, capsys):
-    chain = write_graph(g_loop_chain(3))
-    code, out, _ = run_cli(capsys, "gk", chain, "--max-cycles", "1")
-    assert code == 0 and out["longestChain"] == 3
-    code, out, _ = run_cli(capsys, "fp", chain, "--max-cycles", "1", "--max-vertices-hs", "1")
-    assert code == 0 and out["allFinitelyPresented"] is True
+def test_each_subcommand_takes_exactly_the_options_of_its_table_entry():
+    _, commands = cli._parsers()
+    assert set(commands) == set(cli._COMMANDS)
+    for name, (_, options, _) in cli._COMMANDS.items():
+        flags = {s for action in commands[name]._actions for s in action.option_strings}
+        assert flags == {flag for flag, _ in options} | {"-h", "--help"}, name
+        # the plain reader leaves a flag of another subcommand to argparse
+        for flag in set(_FLAGS) - flags:
+            assert cli._plain_args(name, ["g.json", flag, "1"]) is None, (name, flag)
 
 
 def test_negative_growth_bound_exits_2(write_graph, capsys):
@@ -85,6 +88,11 @@ def test_incomplete_ghstream_exits_2(write_graph, capsys):
         ["growth", "GRAPH", "--n", "3", "--max-basis", "5"], ["gk"], ["growth", "GRAPH", "--n", "x"], [],
         # a token starting "--=" goes to the top-level parser, which reports it ambiguous
         ["report", "GRAPH", "--=x"], ["eval", "GRAPH", "--expr", "--=v"],
+        # a subcommand takes only the options it reads: the caps belong to
+        # report and hs-sets, and a field is q or a prime
+        ["gk", "GRAPH", "--max-cycles", "1"], ["fp", "GRAPH", "--max-vertices-hs", "1"],
+        ["hs-sets", "GRAPH", "--max-cycles", "1"], ["eval", "GRAPH", "--expr", "v", "--field", "Q"],
+        ["eval", "GRAPH", "--expr", "v", "--field", "rational"],
     ],
 )
 def test_usage_errors_are_json(write_graph, capsys, argv):
@@ -102,7 +110,8 @@ def test_usage_errors_are_json(write_graph, capsys, argv):
 # after the subcommand
 _SUBCOMMAND_ARGV = [
     ["gk", "g.json"],
-    ["report", "g.json", "--max-cycles", "5", "--max-vertices-hs", "3"],
+    ["report", "g.json", "--max-cycles", "5"],
+    ["hs-sets", "g.json", "--max-vertices-hs", "3"],
     ["eval", "g.json", "--expr", "v", "--field", "7"],
     ["eval", "g.json", "--ex", "v"],
     ["act", "g.json", "--module", "sv", "--vertex", "v", "--expr", "v"],
@@ -140,9 +149,9 @@ def _parse(parser, args):
 
 @pytest.mark.parametrize("argv", _SUBCOMMAND_ARGV)
 def test_a_subcommand_parser_reads_argv_as_the_top_level_parser_does(argv):
-    _, commands = cli._parsers()
+    top, commands = cli._parsers()
     own = _parse(commands[argv[0]], argv[1:])
-    assert own == _parse(cli.build_parser(), argv)
+    assert own == _parse(top, argv)
     # the direct reader reads what argparse reads, or leaves argv to argparse
     plain = cli._plain_args(argv[0], argv[1:])
     assert plain is None or vars(plain) == own
@@ -152,7 +161,7 @@ def test_a_subcommand_parser_reads_argv_as_the_top_level_parser_does(argv):
 # negative numbers and flags; GRAPH is the path of a Toeplitz graph file
 _TEXTS = ["GRAPH", "-", "", "x", "v1", "c", "c*.c - v1", "q", "7", "4", '{"kind":"periodic","period":["c"]}']
 _VALUES = _TEXTS + ["--", "-5", "-1", "--x", "0", "3", "1.5", "fp", "gk", "chen", "sv"]
-_FLAGS = sorted({f for command in cli._COMMANDS for f in cli._options(command)} | {"-h", "--help", "--version"})
+_FLAGS = sorted({f for _, options, _ in cli._COMMANDS.values() for f, _ in options} | {"-h", "--help", "--version"})
 
 
 @st.composite
@@ -162,7 +171,7 @@ def _argv(draw):
     "flag=value" or a value, or that drop or replace a token."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     args = []
-    for flag, spec in cli._options(command).items():
+    for flag, spec in cli._COMMANDS[command][1]:
         if spec.get("required") or draw(st.booleans()):
             if "choices" in spec:
                 good = st.sampled_from(spec["choices"])
@@ -225,7 +234,7 @@ def test_generated_argv_is_read_as_argparse_reads_it_and_exits_0_2_or_3(toeplitz
 
 def test_a_plain_request_builds_no_parser(write_graph):
     # a fresh interpreter: the parsers of this one may be built already
-    argv = ["gk", write_graph(g_loop()), "--max-cycles", "5"]
+    argv = ["report", write_graph(g_loop()), "--max-cycles", "5"]
     script = f"from leavitt import cli; code = cli.main({argv!r}); print(code, cli._parsers.cache_info().currsize)"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent), env.get("PYTHONPATH")]))

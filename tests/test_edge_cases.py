@@ -350,6 +350,21 @@ _WRONG_TYPES = {
     "multiply(5, 5)": lambda g, ctx: multiply(5, 5),
     "singleton_vector(5, Path('v1'))": lambda g, ctx: singleton_vector(5, Path("v1")),
     "Monomial(5, 5).degree": lambda g, ctx: Monomial(5, 5).degree,
+    "g.bundle(['c'])": lambda g, ctx: g.bundle(["c"]),
+    "bundle_addresses(g, ['c'])": lambda g, ctx: bundle_addresses(g, ["c"]),
+    "g.reachable(5)": lambda g, ctx: g.reachable(5),
+    # b is an infinite bundle, the only kind that limit truncates
+    "bundle_addresses(clock, 'b', limit=2.5)": lambda g, ctx: bundle_addresses(g_clock_omega(), "b", limit=2.5),
+    "bundle_addresses(clock, 'b', limit='x')": lambda g, ctx: bundle_addresses(g_clock_omega(), "b", limit="x"),
+    "stream_prefix(s, '3')": lambda g, ctx: stream_prefix(periodic_stream(g, ["c"]), "3"),
+    "stream_prefix(s, None)": lambda g, ctx: stream_prefix(periodic_stream(g, ["c"]), None),
+    "stream_prefix(s, 2.0)": lambda g, ctx: stream_prefix(periodic_stream(g, ["c"]), 2.0),
+    # a bool is not read as 0 or 1
+    "enumerate_cycles(g, True)": lambda g, ctx: enumerate_cycles(g, True),
+    "growth_profile(g, True)": lambda g, ctx: growth_profile(g, True),
+    "hedgehog(g, ['v2'], [], True)": lambda g, ctx: hedgehog(g, ["v2"], [], True),
+    "chen_basis_element(g, s, None, False)": lambda g, ctx: chen_basis_element(g, periodic_stream(g, ["c"]), None, False),
+    "stream_prefix(s, True)": lambda g, ctx: stream_prefix(periodic_stream(g, ["c"]), True),
 }
 
 
@@ -358,6 +373,12 @@ def test_wrongly_typed_arguments_raise_leavitt_errors(call):
     g = g_toeplitz()
     with pytest.raises(LeavittError):
         call(g, AlgebraContext(g))
+
+
+def test_has_vertex_answers_false_for_anything_but_a_vertex_id():
+    g = g_toeplitz()
+    assert g.has_vertex("v1") and not g.has_vertex("v3")
+    assert not any(g.has_vertex(x) for x in (["v1"], {"v1"}, ("v1",), 5, None))
 
 
 def test_a_sum_takes_any_iterable():
@@ -417,6 +438,7 @@ def test_a_path_is_not_read_from_the_letters_of_a_string():
         lambda: quotient(ab, ["a", "b"], "ab"),
         lambda: hedgehog(ab, "ab"),
         lambda: hedgehog(ab, ["a", "b"], "ab"),
+        lambda: ab.reachable("ab"),
     ):
         with pytest.raises(SchemaError, match="not the string 'ab'"):
             call()
@@ -565,6 +587,22 @@ _VALIDATION_ERRORS = {
     ),
     "graph_to_obj of a number": (g_toeplitz, lambda g: graph_to_obj(5), NotSupportedError, "expected a Graph, not 5"),
     "graph_to_json of a number": (g_toeplitz, lambda g: graph_to_json(5), NotSupportedError, "expected a Graph, not 5"),
+    "bundle of an unhashable id": (g_toeplitz, lambda g: g.bundle(["c"]), UnknownEdgeError, "unknown edge id ['c']"),
+    "reachable from a number": (
+        g_toeplitz, lambda g: g.reachable(5), SchemaError, "a vertex set must be a collection of vertex ids, not 5"
+    ),
+    "bundle_addresses with a negative limit": (
+        g_clock_omega,
+        lambda g: bundle_addresses(g, "b", limit=-1),
+        NotSupportedError,
+        "the address limit must be >= 0, not -1",
+    ),
+    "stream_prefix of negative length": (
+        g_toeplitz,
+        lambda g: stream_prefix(periodic_stream(g, ["c"]), -2),
+        NotSupportedError,
+        "the prefix length must be >= 0, not -2",
+    ),
 }
 
 
@@ -581,6 +619,9 @@ def test_integer_bounds_keep_their_messages():
         (lambda: PrimeField("7"), "the order of a prime field must be an integer, not '7'"),
         (lambda: growth_profile(g, "x"), "the growth bound must be an integer, not 'x'"),
         (lambda: enumerate_hs_sets(g, "x"), "the vertex cap must be an integer, not 'x'"),
+        (lambda: enumerate_cycles(g, True), "the cycle cap must be an integer, not True"),
+        (lambda: bundle_addresses(g, "c", limit=1.5), "the address limit must be an integer, not 1.5"),
+        (lambda: stream_prefix(periodic_stream(g, ["c"]), "3"), "the prefix length must be an integer, not '3'"),
         (lambda: bifurcation_data(AlgebraContext(g), periodic_stream(g, ["c"]), 1.0), "depth must be an integer, not 1.0"),
     ):
         with pytest.raises(NotSupportedError) as info:
