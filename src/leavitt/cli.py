@@ -333,9 +333,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         # argv of the plain shape after a subcommand's name is read without
-        # argparse, which builds its parsers only for anything else
-        args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
-        if args is None:
+        # argparse, which builds its parsers only for anything else; the
+        # subcommand's own parser reads the rest, so a flag is matched
+        # against that subcommand's flags, not the top-level ones
+        if argv and argv[0] in _COMMANDS:
+            args = _plain_args(argv[0], argv[1:]) or _parsers()[1][argv[0]].parse_args(argv[1:])
+        else:
             args = _parsers()[0].parse_args(argv)
         # act's flags (only act has --module) are checked before the graph is read
         module = getattr(args, "module", None)

@@ -560,8 +560,7 @@ class Condensation:
     The derived answers are plain fields that take no part in equality.
     The class has no constructor: :func:`_tarjan` writes every field, the
     derived ones in O(V + E) by one pass over the SCCs in reverse
-    topological order, so each SCC comes after every SCC it reaches.  Those
-    about cycles are read only once :func:`_require_finitely_many_cycles` passes.
+    topological order, so each SCC comes after every SCC it reaches.
 
     Chains of cycles are read off ``depth``: an SCC reaches a cyclic SCC
     exactly when its depth is not 0, a cyclic SCC reaches no other cyclic
@@ -725,14 +724,6 @@ def _tarjan(g: Graph) -> Condensation:
     return record
 
 
-def _require_finitely_many_cycles(g: Graph) -> None:
-    """Raise as cycle enumeration would if an infinite bundle lies on a
-    closed path."""
-    found = [b for b in condensation(g).infinite_bundle if b is not None]
-    if found:
-        raise InfinitelyManyCyclesError(f"infinite bundle {min(found)!r} lies on a closed path")
-
-
 def vertices_on_closed_paths(g: Graph) -> frozenset[str]:
     """Vertices that lie on at least one closed path."""
     scc = condensation(g)
@@ -825,7 +816,6 @@ def _cycles(g: Graph, max_cycles: int) -> tuple[tuple[Cycle, ...], tuple[int, ..
 def condition_L(g: Graph) -> bool:
     """Every simple cycle has an exit: no SCC is a single cycle that no edge
     leaves."""
-    _require_finitely_many_cycles(g)
     return not any(condensation(g).no_exit)
 
 
@@ -837,7 +827,6 @@ def condition_K(g: Graph) -> bool:
     at its two ends, with no constraint on the other vertices.  It holds
     exactly when no SCC is a single cycle.
     """
-    _require_finitely_many_cycles(g)
     return not any(condensation(g).single_cycle)
 
 

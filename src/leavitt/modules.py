@@ -47,7 +47,7 @@ class PeriodicPath:
     period: Path
 
     def edge_at(self, n: int) -> str:
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             _require_int(n, "a stream position")
             raise NotSupportedError(f"stream positions start at 1, not {n}")
         lp = len(self.prefix.edges)
@@ -72,7 +72,7 @@ class GeneratedStream:
     h: tuple[str, ...]
 
     def edge_at(self, n: int) -> str:
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             _require_int(n, "a stream position")
             raise NotSupportedError(f"stream positions start at 1, not {n}")
         pos = n

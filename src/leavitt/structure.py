@@ -40,7 +40,6 @@ from .graph import (
     _address,
     _cycles,
     _require_cycle,
-    _require_finitely_many_cycles,
     _require_graph,
     _rotated,
     canonical_cycle,
@@ -169,7 +168,6 @@ def disjoint_cycles_criterion(g: Graph) -> bool:
     """No vertex lies on two distinct cycles (the finite-graph criterion):
     an alias of the antisymmetry of the cycle pre-order, since cycles that
     share a vertex reach each other."""
-    _require_finitely_many_cycles(g)
     return condensation(g).antisymmetric
 
 
@@ -203,7 +201,6 @@ def decide_gk(g: Graph) -> GkVerdict:
     notes = ()
     if not _require_graph(g).is_row_finite():
         notes = ("graph has infinite bundles; verdict covers the listed structure only",)
-    _require_finitely_many_cycles(g)
     scc = condensation(g)
     if not scc.antisymmetric:
         return GkVerdict(False, None, None, _witness(g, scc), notes)
@@ -488,7 +485,8 @@ def _witness(g: Graph, scc: Condensation) -> list[list[str]]:
     """Two distinct cycles of the first SCC (by least vertex) that is not a
     single cycle: at its least vertex u with two inner concrete out-edges,
     each of the first two of them (in bundle id, then index, order) closed
-    by a shortest return path to u."""
+    by a shortest return path to u.  An ``OMEGA`` bundle is read as two or
+    more edges: its first two are ``id[0]`` and ``id[1]``."""
     i = min(
         (k for k, c in enumerate(scc.cyclic) if c and not scc.single_cycle[k]),
         key=lambda k: scc.members[k][0],
@@ -498,7 +496,7 @@ def _witness(g: Graph, scc: Condensation) -> list[list[str]]:
             (_address(e, k), e.dst)
             for e in g.out_bundles(u)
             if scc.component[e.dst] == i
-            for k in range(min(e.mult, 2))
+            for k in range(2 if e.mult is OMEGA else min(e.mult, 2))
         ][:2]
         if len(firsts) == 2:
             break

@@ -163,6 +163,30 @@ def _edge_into_an_infinite_emitter():
     return Graph(["a", "u", "w"], [Edge("e", "a", "u"), Edge("b", "u", "w", OMEGA)])
 
 
+def test_an_omega_bundle_on_a_closed_path_answers_gk_and_fp(write_graph, capsys):
+    # u -a(omega)-> w -b-> u: gk and fp answer from the condensation, the
+    # gk filtration is refused as for any non-polynomial growth, and report
+    # and corner, which list cycles, still refuse
+    path = write_graph(Graph(["u", "w"], [Edge("a", "u", "w", OMEGA), Edge("b", "w", "u")]))
+    code, out, err = run_cli(capsys, "gk", path)
+    assert code == 0 and err is None
+    assert out == {
+        "finite": False,
+        "longestChain": None,
+        "lowerBound": None,
+        "notes": ["graph has infinite bundles; verdict covers the listed structure only"],
+        "witness": [["a[0]", "b"], ["a[1]", "b"]],
+    }
+    code, out, err = run_cli(capsys, "filtration", path, "--kind", "gk")
+    assert (code, out, err) == (2, None, {"error": "growth is not polynomially bounded", "exit": 2})
+    code, out, err = run_cli(capsys, "fp", path)
+    assert code == 0 and err is None
+    assert out["reasons"] == [{"code": "NOT_ROW_FINITE", "witness": "a"}]
+    for argv in (["report", path], ["corner", path, "--vertex", "u"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, None, {"error": "infinite bundle 'a' lies on a closed path", "exit": 3})
+
+
 def test_act_sv_prints_a_path_term(write_graph, capsys):
     path = write_graph(_edge_into_an_infinite_emitter())
     assert main(["act", path, "--module", "sv", "--vertex", "u", "--expr", "2 e"]) == 0

@@ -86,7 +86,7 @@ def test_incomplete_ghstream_exits_2(write_graph, capsys):
     "argv",
     [
         ["growth", "GRAPH", "--n", "3", "--max-basis", "5"], ["gk"], ["growth", "GRAPH", "--n", "x"], [],
-        # a token starting "--=" goes to the top-level parser, which reports it ambiguous
+        # a token starting "--=" is matched against the subcommand's own flags
         ["report", "GRAPH", "--=x"], ["eval", "GRAPH", "--expr", "--=v"],
         # a subcommand takes only the options it reads: the caps belong to
         # report and hs-sets, and a field is q or a prime
@@ -102,6 +102,20 @@ def test_usage_errors_are_json(write_graph, capsys, argv):
     assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+
+
+def test_a_flag_is_matched_against_its_subcommands_flags_only(write_graph, capsys):
+    # "--=x" is a prefix of every long flag; the top-level parser's own are
+    # --help and --version, and neither report nor gk has --version
+    path = write_graph(g_loop())
+    for argv, message in (
+        (["report", path, "--=x"], "ambiguous option: --=x could match --help, --max-cycles"),
+        (["gk", path, "--=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": message, "exit": 2}) + "\n"
 
 
 # good and bad argv for a subcommand's own parser: defaults, every kind of
@@ -215,7 +229,8 @@ def test_generated_argv_is_read_as_argparse_reads_it_and_exits_0_2_or_3(toeplitz
     top, commands = cli._parsers()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         own = _parse(commands[command], args)
-        # main leaves every argv that is not of the plain shape to the top-level parser
+        # main reads argv that is not of the plain shape with the subcommand's
+        # own parser, which reads these argv as the top-level parser does
         assert _parse(top, [command, *args]) == own
     plain = cli._plain_args(command, args)
     assert plain is None or vars(plain) == own

@@ -407,6 +407,9 @@ def test_stream_positions_start_at_1():
         for n in (0, -1, -3):
             with pytest.raises(NotSupportedError, match=f"stream positions start at 1, not {n}"):
                 stream.edge_at(n)
+        for n in (True, False):
+            with pytest.raises(NotSupportedError, match=f"^a stream position must be an integer, not {n}$"):
+                stream.edge_at(n)
 
 
 def test_a_path_is_not_read_from_the_letters_of_a_string():

@@ -19,10 +19,13 @@ from leavitt import (
     LaurentMatrixLayer,
     LeavittError,
     canonical_cycle,
+    condition_K,
+    condition_L,
     corner_report,
     cycle_poset,
     decide_fp,
     decide_gk,
+    disjoint_cycles_criterion,
     enumerate_cycles,
     fp_filtration,
     gk_filtration,
@@ -30,6 +33,7 @@ from leavitt import (
     laurent_index_cardinality,
     line_points,
     saturated_closure,
+    subalgebra_graph,
 )
 from leavitt import graph as graph_mod
 from leavitt import structure as structure_mod
@@ -45,7 +49,7 @@ from leavitt.fixtures import (
     g_rose2,
     g_toeplitz,
 )
-from corpus import GRAPHS, ring
+from corpus import GRAPHS, ring, tags
 
 
 def test_enumerate_cycles_on_a_long_ring():
@@ -197,8 +201,33 @@ def test_corner_report_names_the_least_infinite_bundle_it_reaches():
         with pytest.raises(InfinitelyManyCyclesError, match=f"^infinite bundle '{bundle}' lies on a closed path$"):
             corner_report(g, v)
     assert corner_report(g, "z").is_line_point
-    with pytest.raises(InfinitelyManyCyclesError, match="^infinite bundle 'a' "):
-        decide_gk(g)
+    # decide_gk answers from the condensation: of the three SCCs that are not
+    # a single cycle, {t} has the least vertex, and its loop e6 is two cycles
+    verdict = decide_gk(g)
+    assert not verdict.finite and verdict.witness == [["e6[0]"], ["e6[1]"]]
+
+
+def _f(g: Graph, k: int) -> list[str]:
+    """F_k: every address of each finite bundle of ``g``, and the first k
+    addresses of each ``omega`` bundle."""
+    return [a for e in g.edges for a in graph_mod.bundle_addresses(g, e.id, k)]
+
+
+def test_an_infinite_bundle_on_a_closed_path_is_read_as_its_truncations():
+    # the four reads answer on g as on the finite graphs of F_2 and F_3, and
+    # the gk witness is two cycles of g that use F_2 only
+    graphs = [g for g in GRAPHS if "omega_on_cycle" in tags(g)]
+    assert len(graphs) == 671
+    reads = (condition_L, condition_K, disjoint_cycles_criterion, lambda g: decide_gk(g).finite)
+    for g in graphs:
+        answers = [read(g) for read in reads]
+        for k in (2, 3):
+            t = subalgebra_graph(g, _f(g, k))
+            assert answers == [read(t) for read in reads]
+        witness = decide_gk(g).witness
+        assert len(witness) == 2 and witness[0] != witness[1]
+        for c in witness:
+            assert list(canonical_cycle(g, c).edges) == c and set(c) <= set(_f(g, 2))
 
 
 def test_fp_filtration_builds_each_no_exit_cycle_once(monkeypatch):
